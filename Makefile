@@ -92,6 +92,29 @@ bench-smoke:
 	if [ "$$ns" -gt "$$((2 * base))" ]; then \
 	  echo "bench-smoke: regression — ns/op exceeds 2x the committed baseline" >&2; exit 1; fi
 
+# Shell fragments for the targets that boot `llm4eda serve` in the
+# background; both expect $tmp (a temp dir holding serve.log) and $pid.
+# SERVE_TRAP runs before the server starts: on any exit (success, a
+# `set -e` failure or an interrupt) it SIGKILLs a server that is still
+# running, reaps it and removes $tmp, so no target leaves a server
+# orphaned on its fixed port. serve_stop sends SIGTERM and waits at most
+# 5 s for the drain; a server still alive then is SIGKILLed and the
+# target (named by the argument) fails.
+SERVE_TRAP = pid=; \
+	trap 'rc=$$?; if [ -n "$$pid" ]; then kill -KILL "$$pid" 2>/dev/null || true; \
+	  wait "$$pid" 2>/dev/null || true; fi; rm -rf "$$tmp"; exit $$rc' EXIT; \
+	trap 'exit 130' INT; trap 'exit 143' TERM; trap 'exit 129' HUP
+serve_stop = kill -TERM "$$pid"; \
+	n=0; while kill -0 "$$pid" 2>/dev/null; do \
+	  if [ $$n -ge 50 ]; then \
+	    echo "$(1): server did not drain within 5 s of SIGTERM; killing it. log:" >&2; \
+	    cat "$$tmp/serve.log" >&2; exit 1; fi; \
+	  n=$$((n + 1)); sleep 0.1; done; \
+	if ! wait "$$pid"; then pid=; \
+	  echo "$(1): server did not exit cleanly; log:" >&2; \
+	  cat "$$tmp/serve.log" >&2; exit 1; fi; \
+	pid=
+
 # Service-layer smoke: boot `llm4eda serve`, drive one quick job through
 # the typed client (submit, SSE stream, report, cached resubmission,
 # stats), require the xdebug job's per-round diagnosis frames to arrive
@@ -101,7 +124,7 @@ SERVE_SMOKE_ADDR ?= 127.0.0.1:18372
 serve-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
+	$(SERVE_TRAP); \
 	$(GO) build -o "$$tmp/llm4eda" ./cmd/llm4eda; \
 	$(GO) build -o "$$tmp/servedemo" ./examples/servedemo; \
 	"$$tmp/llm4eda" serve -addr $(SERVE_SMOKE_ADDR) > "$$tmp/serve.log" 2>&1 & \
@@ -109,18 +132,15 @@ serve-smoke:
 	if ! "$$tmp/servedemo" -addr http://$(SERVE_SMOKE_ADDR) > "$$tmp/client.log" 2>&1; then \
 	  echo "serve-smoke: client run failed; client log:" >&2; \
 	  cat "$$tmp/client.log" >&2; echo "server log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; kill "$$pid" 2>/dev/null || true; exit 1; fi; \
+	  cat "$$tmp/serve.log" >&2; exit 1; fi; \
 	cat "$$tmp/client.log"; \
 	grep -q "xdebug diagnosis events over SSE" "$$tmp/client.log" || { \
 	  echo "serve-smoke: SSE stream carried no xdebug diagnosis marker" >&2; \
-	  kill "$$pid" 2>/dev/null || true; exit 1; }; \
+	  exit 1; }; \
 	grep -q "lint screen events over SSE" "$$tmp/client.log" || { \
 	  echo "serve-smoke: SSE stream carried no lint screen marker" >&2; \
-	  kill "$$pid" 2>/dev/null || true; exit 1; }; \
-	kill -TERM "$$pid"; \
-	if ! wait "$$pid"; then \
-	  echo "serve-smoke: server did not exit cleanly; log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; exit 1; fi; \
+	  exit 1; }; \
+	$(call serve_stop,serve-smoke); \
 	grep -q "drained, bye" "$$tmp/serve.log" || { \
 	  echo "serve-smoke: no clean-drain marker in server log:" >&2; \
 	  cat "$$tmp/serve.log" >&2; exit 1; }; \
@@ -137,17 +157,14 @@ LOAD_JOBS ?= 150
 load-test:
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
+	$(SERVE_TRAP); \
 	$(GO) build -o "$$tmp/llm4eda" ./cmd/llm4eda; \
 	"$$tmp/llm4eda" serve -addr $(LOAD_ADDR) -queue 256 > "$$tmp/serve.log" 2>&1 & \
 	pid=$$!; \
 	if ! "$$tmp/llm4eda" loadgen -addr http://$(LOAD_ADDR) -jobs $(LOAD_JOBS); then \
 	  echo "load-test: loadgen failed; server log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; kill "$$pid" 2>/dev/null || true; exit 1; fi; \
-	kill -TERM "$$pid"; \
-	if ! wait "$$pid"; then \
-	  echo "load-test: server did not exit cleanly; log:" >&2; \
 	  cat "$$tmp/serve.log" >&2; exit 1; fi; \
+	$(call serve_stop,load-test); \
 	grep -q "drained, bye" "$$tmp/serve.log" || { \
 	  echo "load-test: no clean-drain marker in server log:" >&2; \
 	  cat "$$tmp/serve.log" >&2; exit 1; }
@@ -159,18 +176,15 @@ load-test:
 load-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
+	$(SERVE_TRAP); \
 	$(GO) build -o "$$tmp/llm4eda" ./cmd/llm4eda; \
 	"$$tmp/llm4eda" serve -addr $(LOAD_ADDR) > "$$tmp/serve.log" 2>&1 & \
 	pid=$$!; \
 	if ! "$$tmp/llm4eda" loadgen -addr http://$(LOAD_ADDR) -jobs 30 -clients 4 \
 	    -smoke -out "$$tmp/load.json"; then \
 	  echo "load-smoke: loadgen failed; server log:" >&2; \
-	  cat "$$tmp/serve.log" >&2; kill "$$pid" 2>/dev/null || true; exit 1; fi; \
-	kill -TERM "$$pid"; \
-	if ! wait "$$pid"; then \
-	  echo "load-smoke: server did not exit cleanly; log:" >&2; \
 	  cat "$$tmp/serve.log" >&2; exit 1; fi; \
+	$(call serve_stop,load-smoke); \
 	grep -q "drained, bye" "$$tmp/serve.log" || { \
 	  echo "load-smoke: no clean-drain marker in server log:" >&2; \
 	  cat "$$tmp/serve.log" >&2; exit 1; }; \

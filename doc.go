@@ -68,7 +68,7 @@
 // reports its queue_wait → lint_screen → compile → sim → store_write
 // breakdown in its status and SSE end frame, and GET /v1/metrics exports
 // the whole stack — job and phase latency quantiles, queue depth, farm
-// cache layers, tiered-VM dispatch counters, resilience counters — in
+// cache layers, resilience counters — in
 // Prometheus text format. `llm4eda loadgen` / `make load-test` drive a
 // live server with shaped traffic and record the latency history as
 // committed LOAD_<date>.json files. See DESIGN.md "Observability".

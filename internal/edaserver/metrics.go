@@ -170,19 +170,6 @@ func (s *Server) harvestMetrics(w io.Writer) {
 	obs.WriteFamily(w, "llm4eda_farm_panics_total", "Farm worker panics recovered into job results.",
 		obs.KindCounter, obs.Sample{Value: float64(fs.Panics)})
 
-	// Tiered-VM dispatch coverage (previously only visible via -vmstats).
-	obs.WriteFamily(w, "llm4eda_vm_ops_total", "VM bytecode operations executed, by dispatch tier.",
-		obs.KindCounter,
-		obs.Sample{Labels: []string{"tier", "a"}, Value: float64(fs.VM.TierAOps)},
-		obs.Sample{Labels: []string{"tier", "b"}, Value: float64(fs.VM.TierBOps)},
-		obs.Sample{Labels: []string{"tier", "generic"}, Value: float64(fs.VM.GenericOps)})
-	obs.WriteFamily(w, "llm4eda_vm_superblocks", "Superinstruction blocks formed across compiled designs.",
-		obs.KindGauge, obs.Sample{Value: float64(fs.VM.SuperBlocks)})
-	obs.WriteFamily(w, "llm4eda_vm_fuse_skipped_total", "Fusion candidates skipped by the superblock builder.",
-		obs.KindCounter, obs.Sample{Value: float64(fs.VM.FuseSkipped)})
-	obs.WriteFamily(w, "llm4eda_vm_promotions_total", "Two-state specialization promotions.",
-		obs.KindCounter, obs.Sample{Value: float64(fs.VM.Promotions)})
-
 	// Fault injector firings, one sample per armed point/kind. Only
 	// present when chaos is armed — a production scrape carries no fault
 	// family at all.

@@ -144,15 +144,13 @@ func TestMetricsScrapeFormat(t *testing.T) {
 		t.Errorf("queue_wait phase count = %v, want 1", got)
 	}
 
-	// Queue gauges and farm/VM/cache families exist.
+	// Queue gauges and farm/cache families exist.
 	for _, name := range []string{
 		"llm4eda_queue_depth",
 		"llm4eda_workers",
 		`llm4eda_jobs{state="done"}`,
 		`llm4eda_farm_hits_total{layer="result"}`,
 		`llm4eda_farm_entries{layer="design"}`,
-		`llm4eda_vm_ops_total{tier="a"}`,
-		"llm4eda_vm_superblocks",
 		"llm4eda_panics_total",
 		"llm4eda_watchdog_kills_total",
 		"llm4eda_transient_retries_total",
@@ -169,12 +167,9 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	if got := vals["llm4eda_report_cache_hits_total"]; got < 1 {
 		t.Errorf("report_cache_hits_total = %v, want >= 1", got)
 	}
-	// The VM executed real bytecode for the fresh run.
-	tierOps := vals[`llm4eda_vm_ops_total{tier="a"}`] +
-		vals[`llm4eda_vm_ops_total{tier="b"}`] +
-		vals[`llm4eda_vm_ops_total{tier="generic"}`]
-	if tierOps <= 0 {
-		t.Errorf("vm_ops_total summed over tiers = %v, want > 0", tierOps)
+	// The farm ran a real simulation for the fresh run.
+	if got := vals[`llm4eda_farm_computes_total{layer="result"}`]; got <= 0 {
+		t.Errorf(`farm_computes_total{layer="result"} = %v, want > 0`, got)
 	}
 	// No chaos armed: the fault family must be absent entirely.
 	if strings.Contains(body, "llm4eda_faults_fired_total") {

@@ -45,13 +45,8 @@ type contAssign struct {
 	lhs   Expr
 	rhs   Expr
 	scope scope
-	// scopeID numbers the owning instance scope; assigns sharing an ID
-	// share the identical scope map. The simulator uses it to skip
-	// reinstalling the resident evaluator's scope (a heap pointer write,
-	// hence a GC write barrier) between evaluations in the same instance.
-	scopeID int32
-	reads   []SignalID
-	line    int
+	reads []SignalID
+	line  int
 	// prog is the compiled evaluate-and-store program (bytecode.go); nil
 	// for the rare lvalue shapes that stay on the tree evaluator.
 	prog *Program
@@ -140,21 +135,6 @@ type Design struct {
 	procRegTotal int
 	caRegOff     []int32
 	caRegTotal   int
-
-	// parSweep[id] marks signals whose dependent-assign batch is safe
-	// for the Tier C parallel sweep: the batch is large (>= coneParMin),
-	// every member is a specialized fast shape (pure store reads, no
-	// $random, no VM entry), and no member reads any member's
-	// destination — so evaluating all members from the pre-sweep store
-	// and committing in wave-list order is byte-identical to the
-	// sequential sweep.
-	parSweep []bool
-
-	// Static tiered-VM counts summed over all compiled programs:
-	// superinstructions synthesized and fusion candidates skipped at
-	// branch-target boundaries (see VMStats).
-	nSuper    int
-	nFuseSkip int
 }
 
 // finalizeLayout computes the shared run-time layout; called once at the
@@ -226,70 +206,6 @@ func (d *Design) finalizeLayout() {
 			f.dstOff = d.wordOffset[f.dst]
 		}
 	}
-	d.markParSweeps()
-	// Sum the static superinstruction counts (shared programs count once
-	// per design that uses them — the stats describe this design's
-	// compiled form, not unique program objects).
-	for _, pr := range d.procs {
-		d.nSuper += int(pr.prog.nSuper)
-		d.nFuseSkip += int(pr.prog.nFuseSkip)
-	}
-	for _, ca := range d.assigns {
-		if ca.prog != nil {
-			d.nSuper += int(ca.prog.nSuper)
-			d.nFuseSkip += int(ca.prog.nFuseSkip)
-		}
-	}
-}
-
-// markParSweeps proves Tier C eligibility per fan-out signal: a batch
-// qualifies when it is at least coneParMin assigns, every member is a
-// specialized fast shape, and no member reads any member's destination
-// (including its own). Under those conditions every member's inputs are
-// fixed for the whole sweep, so parallel evaluation from the pre-sweep
-// store followed by in-order commits reproduces the sequential sweep
-// exactly.
-func (d *Design) markParSweeps() {
-	d.parSweep = make([]bool, len(d.Signals))
-	var isDst []bool // scratch, reused across batches
-	for sig, list := range d.sigAssigns {
-		if len(list) < coneParMin {
-			continue
-		}
-		if isDst == nil {
-			isDst = make([]bool, len(d.Signals))
-		}
-		ok := true
-		for _, idx := range list {
-			if d.assigns[idx].fast.kind == caFastNone {
-				ok = false
-				break
-			}
-			isDst[d.assigns[idx].fast.dst] = true
-		}
-		if ok {
-			// Check the fast shapes' true inputs, not ca.reads: reads
-			// lists every identifier in the assign including its own
-			// LHS (so a destination change re-triggers evaluation),
-			// which would veto every batch. The specialized shapes read
-			// exactly a (and b for the two-operand kind).
-			for _, idx := range list {
-				f := &d.assigns[idx].fast
-				if f.kind != caFastConst && isDst[f.a] {
-					ok = false
-					break
-				}
-				if f.kind == caFastBin && isDst[f.b] {
-					ok = false
-					break
-				}
-			}
-		}
-		for _, idx := range list { // reset scratch
-			isDst[d.assigns[idx].fast.dst] = false
-		}
-		d.parSweep[sig] = ok
-	}
 }
 
 // SignalByName returns the flattened signal with the given hierarchical
@@ -314,12 +230,11 @@ func (d *Design) SignalNames() []string {
 
 // elaborator carries state while flattening.
 type elaborator struct {
-	file    *SourceFile
-	design  *Design
-	depth   int
-	caSlab  []contAssign // slab backing for the flattened assigns
-	idSlab  []Ident      // slab backing for port-connection references
-	nScopes int32        // instance scopes created so far (assigns scopeIDs)
+	file   *SourceFile
+	design *Design
+	depth  int
+	caSlab []contAssign // slab backing for the flattened assigns
+	idSlab []Ident      // slab backing for port-connection references
 }
 
 const maxElabDepth = 64
@@ -419,8 +334,6 @@ func (e *elaborator) instantiate(mod *Module, path string, inst *Instance, paren
 	}
 
 	sc := scope{}
-	sid := e.nScopes
-	e.nScopes++
 
 	// 1. Resolve parameters: defaults, then overrides.
 	overrides := map[string]Expr{}
@@ -554,11 +467,11 @@ func (e *elaborator) instantiate(mod *Module, path string, inst *Instance, paren
 			switch port.Dir {
 			case DirInput:
 				e.design.assigns = append(e.design.assigns, alloc(&e.caSlab, contAssign{
-					lhs: portRef, rhs: scopedExpr{ex, parentScope}, scope: sc, scopeID: sid, line: inst.Line,
+					lhs: portRef, rhs: scopedExpr{ex, parentScope}, scope: sc, line: inst.Line,
 				}))
 			case DirOutput:
 				e.design.assigns = append(e.design.assigns, alloc(&e.caSlab, contAssign{
-					lhs: scopedExpr{ex, parentScope}, rhs: portRef, scope: sc, scopeID: sid, line: inst.Line,
+					lhs: scopedExpr{ex, parentScope}, rhs: portRef, scope: sc, line: inst.Line,
 				}))
 			}
 		}
@@ -570,11 +483,11 @@ func (e *elaborator) instantiate(mod *Module, path string, inst *Instance, paren
 		case *NetDecl:
 			if it.Init != nil {
 				e.design.assigns = append(e.design.assigns, alloc(&e.caSlab, contAssign{
-					lhs: alloc(&e.idSlab, Ident{Name: it.Name}), rhs: it.Init, scope: sc, scopeID: sid, line: it.Line,
+					lhs: alloc(&e.idSlab, Ident{Name: it.Name}), rhs: it.Init, scope: sc, line: it.Line,
 				}))
 			}
 		case *ContAssign:
-			e.design.assigns = append(e.design.assigns, alloc(&e.caSlab, contAssign{lhs: it.LHS, rhs: it.RHS, scope: sc, scopeID: sid, line: it.Line}))
+			e.design.assigns = append(e.design.assigns, alloc(&e.caSlab, contAssign{lhs: it.LHS, rhs: it.RHS, scope: sc, line: it.Line}))
 		case *AlwaysBlock:
 			e.design.procs = append(e.design.procs, &process{
 				kind: procAlways, sens: it.Sens, star: it.Star, body: it.Body, scope: sc,

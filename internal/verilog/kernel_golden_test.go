@@ -129,38 +129,6 @@ func TestKernelGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelGoldenEquivalenceParallelCones re-runs the golden suite
-// with Tier C forced to multiple cone workers, against the SAME
-// committed fixtures as the serial run: parallel combinational-cone
-// evaluation must be byte-identical to the recorded kernel regardless
-// of the worker count. No -update path here on purpose — a divergence
-// is a Tier C determinism bug, never a fixture refresh.
-func TestKernelGoldenEquivalenceParallelCones(t *testing.T) {
-	defer verilog.SetConeWorkersForTest(4)()
-
-	blob, err := os.ReadFile(goldenPath(t))
-	if err != nil {
-		t.Fatalf("missing golden fixtures: %v", err)
-	}
-	want := map[string][]goldenRun{}
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatalf("corrupt golden fixtures: %v", err)
-	}
-	for _, p := range benchset.Suite() {
-		wantRuns, ok := want[p.ID]
-		if !ok {
-			t.Errorf("%s: no fixture", p.ID)
-			continue
-		}
-		for seed := uint64(1); seed <= goldenSeeds && int(seed) <= len(wantRuns); seed++ {
-			if run := runGolden(t, p, seed); run != wantRuns[seed-1] {
-				t.Errorf("%s seed %d diverged under parallel cones:\n got: %+v",
-					p.ID, seed, diffSummary(run, wantRuns[seed-1]))
-			}
-		}
-	}
-}
-
 // diffSummary trims the noisy equal fields so failures point at the drift.
 func diffSummary(got, want goldenRun) string {
 	var parts []string

@@ -51,8 +51,6 @@ func vmRun(s *Simulator, prog *Program, regs []Value, r *runner, ev *evaluator, 
 	}
 	for {
 		ins := &code[pc]
-	again:
-		s.nGeneric++ // generic dispatch count (VMStats); opSuper re-books below
 		switch ins.Op {
 		case opStep:
 			s.steps++
@@ -848,36 +846,6 @@ func vmRun(s *Simulator, prog *Program, regs []Value, r *runner, ev *evaluator, 
 			} else {
 				pc = int(ins.C)
 			}
-
-		// --- Tier A/B superinstructions (see super.go) ------------------
-		case opSuper:
-			sb := &prog.super[ins.A]
-			if s.probe != nil {
-				// Tracing: superinstruction closures commit without per-
-				// statement line attribution, so re-dispatch the block's
-				// preserved head instruction and walk the live interior
-				// slots (left in place by synthBlock) through the generic
-				// switch. Same semantics, exact probe lines.
-				s.nGeneric--
-				ins = &sb.head
-				goto again
-			}
-			fns := sb.fns
-			if sb.two != nil && s.twoStateGate(sb) {
-				fns = sb.two
-				s.nTierB += uint64(sb.n)
-			} else {
-				s.nTierA += uint64(sb.n)
-			}
-			s.nGeneric-- // covered ops are booked in their tier, not as generic
-			for i := range fns {
-				if err := fns[i](s, regs, r, ev); err != nil {
-					// Closures wrap diagnostics with their own statement
-					// line (and return errBudget raw), matching fail().
-					return vmErr, err
-				}
-			}
-			pc = int(sb.end)
 
 		default:
 			return vmErr, fmt.Errorf("verilog: corrupt bytecode at pc %d (op %d)", pc, ins.Op)

@@ -277,24 +277,25 @@ endmodule`
 	}
 }
 
-// withTierConfig runs fn under a forced tiered-VM configuration,
-// restoring the defaults afterwards. Programs compiled inside fn carry
-// the configuration permanently (fusion and superinstruction synthesis
-// happen at lowering), so fn must compile everything it runs.
-func withTierConfig(fusion, super, twoState bool, fn func()) {
-	oldF, oldS, oldT := enableFusion, enableSuper, enableTwoState
-	enableFusion, enableSuper, enableTwoState = fusion, super, twoState
-	defer func() { enableFusion, enableSuper, enableTwoState = oldF, oldS, oldT }()
+// withFusion runs fn with the fusion peephole forced on or off,
+// restoring the default afterwards. Programs compiled inside fn carry
+// the setting permanently (fusion happens at lowering), so fn must
+// compile everything it runs.
+func withFusion(on bool, fn func()) {
+	old := enableFusion
+	enableFusion = on
+	defer func() { enableFusion = old }()
 	fn()
 }
 
-// genTierSource builds one random self-contained testbench whose hot
-// paths land on every tier surface: straight-line always bodies (Tier A
-// statement templates), constant-seeded then $random-perturbed counters
-// (Tier B promotion and fallback), a small continuous-assign cone, an
-// uninitialized register so X actually flows through fused arithmetic,
-// and interleaved $display so the output stream pins evaluation order.
-func genTierSource(rng *rand.Rand) string {
+// genFusionSource builds one random self-contained testbench whose hot
+// paths land on the fused opcodes: straight-line always bodies and loop
+// statements (step/load/store pairs, compare-and-branch), constant-
+// seeded then $random-perturbed counters, a small continuous-assign
+// cone, an uninitialized register so X actually flows through fused
+// arithmetic, and interleaved $display so the output stream pins
+// evaluation order.
+func genFusionSource(rng *rand.Rand) string {
 	var b strings.Builder
 	ops := []string{"+", "-", "*", "&", "|", "^"}
 	b.WriteString("module tb;\n")
@@ -351,10 +352,34 @@ func genTierSource(rng *rand.Rand) string {
 	return b.String()
 }
 
-// tierFingerprint compiles src fresh (so the active tier configuration
-// is baked into the programs) and renders everything observable about
-// the run as one string.
-func tierFingerprint(t *testing.T, src string, seed uint64) (string, VMStats) {
+// fusedOps counts the fused opcodes (see fusePairs) across every
+// compiled program of a design.
+func fusedOps(d *Design) int {
+	n := 0
+	count := func(prog *Program) {
+		for _, ins := range prog.code {
+			switch ins.Op {
+			case opStepConst, opStepLoadSig, opLoadSig2, opStoreSigEnd, opBrCmpK,
+				opLoadSigBitK, opStepConstStore, opStepCopy, opStepCopyNB:
+				n++
+			}
+		}
+	}
+	for _, pr := range d.procs {
+		count(pr.prog)
+	}
+	for _, ca := range d.assigns {
+		if ca.prog != nil {
+			count(ca.prog)
+		}
+	}
+	return n
+}
+
+// fusionFingerprint compiles src fresh (so the active fusion setting is
+// baked into the programs) and renders everything observable about the
+// run as one string, alongside the design's fused-opcode count.
+func fusionFingerprint(t *testing.T, src string, seed uint64) (string, int) {
 	t.Helper()
 	cd, err := Compile(src, "tb")
 	if err != nil {
@@ -370,51 +395,37 @@ func tierFingerprint(t *testing.T, src string, seed uint64) (string, VMStats) {
 	}
 	return fmt.Sprintf("out=%q checks=%d fails=%d fin=%v to=%v end=%d rt=%q finals=%q",
 		res.Output, res.Checks, res.Failures, res.Finished, res.TimedOut,
-		res.EndTime, rt, FormatSignals(res, "tb.")), res.VM
+		res.EndTime, rt, FormatSignals(res, "tb.")), fusedOps(cd.Design)
 }
 
-// TestTierConfigsAreObservationallyIdentical is the tiered-VM soundness
-// property: for random testbenches, every kill-switch configuration —
-// superinstructions off, two-state specialization off, the whole
-// peephole off — must produce a byte-identical simulation to the
-// default fully-tiered engine: same output stream, same $random draw
-// order, same final signal state, same termination.
-func TestTierConfigsAreObservationallyIdentical(t *testing.T) {
+// TestFusionIsObservationallyIdentical is the fusion soundness
+// property: for random testbenches, programs compiled with the fusePairs
+// peephole off must produce a byte-identical simulation to the default
+// fused programs: same output stream, same $random draw order, same
+// final signal state, same termination.
+func TestFusionIsObservationallyIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	configs := []struct {
-		name                    string
-		fusion, super, twoState bool
-	}{
-		{"noSuper", true, false, false},
-		{"noTwoState", true, true, false},
-		{"noFusion", false, false, false},
-	}
 	const sources = 25
-	var cover VMStats
+	fused := 0
 	for sIdx := 0; sIdx < sources; sIdx++ {
-		src := genTierSource(rng)
+		src := genFusionSource(rng)
 		seed := uint64(rng.Intn(1 << 30))
-		var want string
-		withTierConfig(true, true, true, func() {
-			var vm VMStats
-			want, vm = tierFingerprint(t, src, seed)
-			cover = cover.Add(vm)
-		})
-		for _, cfg := range configs {
-			var got string
-			withTierConfig(cfg.fusion, cfg.super, cfg.twoState, func() {
-				got, _ = tierFingerprint(t, src, seed)
-			})
-			if got != want {
-				t.Fatalf("source %d: config %s diverged\n want %s\n  got %s\nsource:\n%s",
-					sIdx, cfg.name, want, got, src)
-			}
+		var want, got string
+		var n, unfused int
+		withFusion(true, func() { want, n = fusionFingerprint(t, src, seed) })
+		withFusion(false, func() { got, unfused = fusionFingerprint(t, src, seed) })
+		if unfused != 0 {
+			t.Fatalf("source %d: %d fused opcodes with fusion off", sIdx, unfused)
 		}
+		if got != want {
+			t.Fatalf("source %d: unfused run diverged\n want %s\n  got %s\nsource:\n%s",
+				sIdx, want, got, src)
+		}
+		fused += n
 	}
-	// The property is only meaningful if the corpus actually drove the
-	// tiers: superinstructions synthesized, both the Tier A and the
-	// specialized Tier B variants dispatched, signals promoted.
-	if cover.SuperBlocks == 0 || cover.TierAOps == 0 || cover.TierBOps == 0 || cover.Promotions == 0 {
-		t.Fatalf("tier coverage vacuous over corpus: %s", cover)
+	// The property is only meaningful if the corpus actually exercises
+	// the peephole.
+	if fused == 0 {
+		t.Fatal("fusion coverage vacuous: no fused opcodes across the corpus")
 	}
 }
