@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check lint-go test test-short test-race bench bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
+.PHONY: all build vet fmt-check lint-go test test-short test-race perfbench-check bench bench-engine bench-json bench-smoke serve-smoke chaos-test chaos-smoke load-test load-smoke ci
 
 all: build
 
@@ -49,6 +49,13 @@ test-short:
 # screened farm job).
 test-race:
 	$(GO) test -race -short ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls
+
+# perfbench/ is its own Go module (it imports eda, eda/client and
+# edaserver through a replace directive), so the root `go build ./...`
+# never compiles it. Vet and test it here so an API change that breaks
+# the service benchmark fails CI.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate every paper artifact at quick scale.
 bench:
@@ -117,7 +124,7 @@ serve_stop = kill -TERM "$$pid"; \
 
 # Service-layer smoke: boot `llm4eda serve`, drive one quick job through
 # the typed client (submit, SSE stream, report, cached resubmission,
-# stats), require the xdebug job's per-round diagnosis frames to arrive
+# metrics), require the xdebug job's per-round diagnosis frames to arrive
 # over SSE, then SIGTERM and require a clean drained exit. The port is
 # fixed; override SERVE_SMOKE_ADDR when it clashes.
 SERVE_SMOKE_ADDR ?= 127.0.0.1:18372
@@ -204,4 +211,4 @@ chaos-test:
 chaos-smoke:
 	$(GO) test -run TestChaosSurvival -short -timeout 120s ./internal/edaserver
 
-ci: build vet fmt-check lint-go test-short test-race chaos-smoke serve-smoke load-smoke
+ci: build vet fmt-check lint-go test-short test-race perfbench-check chaos-smoke serve-smoke load-smoke

@@ -15,6 +15,7 @@ import (
 
 	"llm4eda/eda"
 	"llm4eda/eda/client"
+	"llm4eda/internal/obs"
 )
 
 // cmdLoadgen drives a live `llm4eda serve` with traffic shaped like the
@@ -200,7 +201,7 @@ func runLoad(addr string, jobs, nClients, hotEvery, cancelEvery, sseEvery int, s
 	if err := loadWaitReady(ctx, pool[0]); err != nil {
 		return nil, fmt.Errorf("server at %s not ready: %w", addr, err)
 	}
-	before, err := pool[0].Stats(ctx)
+	before, err := scrapeCounters(ctx, pool[0])
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +289,7 @@ func runLoad(addr string, jobs, nClients, hotEvery, cancelEvery, sseEvery int, s
 	sseWG.Wait()
 	rep.DurationS = time.Since(start).Seconds()
 
-	after, err := pool[0].Stats(ctx)
+	after, err := scrapeCounters(ctx, pool[0])
 	if err != nil {
 		return nil, err
 	}
@@ -303,22 +304,29 @@ func runLoad(addr string, jobs, nClients, hotEvery, cancelEvery, sseEvery int, s
 		rep.PhaseMeanMS[ph] = sum / float64(rep.Outcomes.Done)
 	}
 	rep.EventsStreamed = int(events.Load())
-	rep.ReportCache.Hits = after.ReportCache.Hits - before.ReportCache.Hits
-	rep.ReportCache.Misses = after.ReportCache.Misses - before.ReportCache.Misses
+	delta := func(sample string) uint64 { return uint64(after[sample] - before[sample]) }
+	rep.ReportCache.Hits = delta("llm4eda_report_cache_hits_total")
+	rep.ReportCache.Misses = delta("llm4eda_report_cache_misses_total")
 	if t := rep.ReportCache.Hits + rep.ReportCache.Misses; t > 0 {
 		rep.ReportCache.HitRate = float64(rep.ReportCache.Hits) / float64(t)
 	}
-	rep.FarmResults.Hits = after.Farm.Results.Hits - before.Farm.Results.Hits
-	rep.FarmResults.Misses = after.Farm.Results.Misses - before.Farm.Results.Misses
-	rep.FarmResults.Computes = after.Farm.Results.Computes - before.Farm.Results.Computes
+	rep.FarmResults.Hits = delta(`llm4eda_farm_hits_total{layer="result"}`)
+	rep.FarmResults.Misses = delta(`llm4eda_farm_misses_total{layer="result"}`)
+	rep.FarmResults.Computes = delta(`llm4eda_farm_computes_total{layer="result"}`)
 	if t := rep.FarmResults.Hits + rep.FarmResults.Misses; t > 0 {
 		rep.FarmResults.HitRate = float64(rep.FarmResults.Hits) / float64(t)
 	}
-	// One scrape proves the exposition endpoint serves under load.
-	if text, err := pool[0].Metrics(ctx); err == nil {
-		rep.MetricsScrape = strings.Contains(text, "llm4eda_job_duration_seconds_count")
-	}
+	_, rep.MetricsScrape = after["llm4eda_job_duration_seconds_count"]
 	return rep, nil
+}
+
+// scrapeCounters reads every /v1/metrics sample, keyed as exposed.
+func scrapeCounters(ctx context.Context, c *client.Client) (map[string]float64, error) {
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return obs.ParseText(strings.NewReader(text))
 }
 
 // exactQuantiles computes nearest-rank percentiles over the raw samples
@@ -348,12 +356,12 @@ func exactQuantiles(samples []float64) loadQuantiles {
 	}
 }
 
-// loadWaitReady polls /v1/stats until the server answers.
+// loadWaitReady polls /v1/metrics until the server answers.
 func loadWaitReady(ctx context.Context, c *client.Client) error {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		probe, probeCancel := context.WithTimeout(ctx, time.Second)
-		_, err := c.Stats(probe)
+		_, err := c.Metrics(probe)
 		probeCancel()
 		if err == nil {
 			return nil

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -172,7 +173,7 @@ func runFramework(name string, args []string) error {
 	seed := fs.Uint64("seed", 0, "run seed (0 selects the default)")
 	workers := fs.Int("workers", 0, "batch-evaluation workers (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound for the whole run (0 = none)")
-	verbose := fs.Bool("v", false, "stream per-candidate and per-LLM-call events")
+	verbose := fs.Bool("v", false, "stream per-candidate and per-LLM-call events, then print the simfarm cache counters")
 	quiet := fs.Bool("q", false, "suppress the event stream entirely")
 	jsonOut := fs.Bool("json", false, "emit the final report as JSON on stdout (progress moves to stderr)")
 	params := paramFlags{}
@@ -209,6 +210,13 @@ func runFramework(name string, args []string) error {
 			err = perr
 		}
 	}
+	if *verbose && !*quiet {
+		w := os.Stdout
+		if *jsonOut {
+			w = os.Stderr
+		}
+		printFarmStats(w)
+	}
 	return err
 }
 
@@ -238,7 +246,7 @@ func cmdExp(args []string) error {
 	full := fs.Bool("full", false, "run at full scale (slow; used for EXPERIMENTS.md)")
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound for the run (0 = none)")
-	verbose := fs.Bool("v", false, "print simfarm cache counters after each experiment")
+	verbose := fs.Bool("v", false, "print the simfarm cache counters after the last experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -261,29 +269,35 @@ func cmdExp(args []string) error {
 		ids = experiments.IDs()
 	}
 	for _, id := range ids {
-		before := simfarm.Default().Stats()
 		exp, err := r.ByID(ctx, id)
 		if err != nil {
 			return err
 		}
 		fmt.Println(exp.Render())
-		if *verbose {
-			printCacheStats(simfarm.Default().Stats().Delta(before))
-		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
+	if *verbose {
+		printFarmStats(os.Stdout)
+	}
 	return nil
 }
 
-// printCacheStats renders one experiment's simfarm traffic via the
-// shared event vocabulary (the same counters eda.Run streams as
-// EventCache events).
-func printCacheStats(stats simfarm.FarmStats) {
-	sink := eda.ProgressPrinter(os.Stdout, true)
-	simfarm.EmitStats(sink, stats)
-	fmt.Println()
+// printFarmStats renders the process farm's cache counters. The CLI
+// process is the farm's only user, so the totals are this command's own
+// traffic.
+func printFarmStats(w io.Writer) {
+	st := simfarm.Default().Stats()
+	fmt.Fprintln(w, "simfarm caches:")
+	for _, l := range []struct {
+		name string
+		s    simfarm.Stats
+	}{{"parse", st.Parses}, {"design", st.Designs}, {"result", st.Results}, {"lint", st.Lints}} {
+		fmt.Fprintf(w, "  %-6s hits=%d misses=%d evictions=%d computes=%d entries=%d\n",
+			l.name, l.s.Hits, l.s.Misses, l.s.Evictions, l.s.Computes, l.s.Len)
+	}
+	fmt.Fprintf(w, "  lint rejects=%d, recovered panics=%d\n", st.LintRejects, st.Panics)
 }
 
 func cmdList() error {

@@ -104,7 +104,7 @@ func cmdServe(args []string) error {
 		fmt.Printf("llm4eda serve: pprof on http://%s/debug/pprof/\n", dln.Addr())
 	}
 	httpSrv := &http.Server{Handler: srv}
-	fmt.Printf("llm4eda serve: listening on http://%s (POST /v1/jobs, GET /v1/stats, GET /v1/metrics)\n", ln.Addr())
+	fmt.Printf("llm4eda serve: listening on http://%s (POST /v1/jobs, GET /v1/metrics)\n", ln.Addr())
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

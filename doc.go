@@ -29,10 +29,10 @@
 //		Params:    map[string]float64{"k": 2, "depth": 2},
 //	}, eda.WithSink(eda.ProgressPrinter(os.Stdout, false)))
 //
-// Progress (phases, scored candidates, LLM calls, simulation-cache
-// traffic) streams to the sink as events; cancelling ctx aborts the run
-// within one simulation job. See the runnable ExampleRun in the eda
-// package and examples/quickstart for the canonical demo.
+// Progress (phases, scored candidates, LLM calls) streams to the sink
+// as events; cancelling ctx aborts the run within one simulation job.
+// See the runnable ExampleRun in the eda package and examples/quickstart
+// for the canonical demo.
 //
 // The same front door runs as a long-lived service: `llm4eda serve`
 // exposes queued jobs over HTTP with streaming progress and a
@@ -45,7 +45,7 @@
 //	{"id":"j00000001","state":"queued",...}
 //	$ curl -s http://127.0.0.1:8372/v1/jobs/j00000001          # status + report
 //	$ curl -sN http://127.0.0.1:8372/v1/jobs/j00000001/events  # SSE progress
-//	$ curl -s http://127.0.0.1:8372/v1/stats                   # queue + caches
+//	$ curl -s http://127.0.0.1:8372/v1/metrics                 # queue + caches
 //
 // Identical specs submitted by different clients share one run: jobs are
 // content-addressed, so a resubmission returns the cached report and all

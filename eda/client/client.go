@@ -2,8 +2,8 @@
 // (`llm4eda serve`, package internal/edaserver). It speaks the /v1 wire
 // protocol: submit an eda.Spec as a job, poll or wait for its report,
 // stream its progress events (the same core event vocabulary every local
-// eda.Run emits) over Server-Sent Events, cancel it, and read the
-// server's queue/cache statistics.
+// eda.Run emits) over Server-Sent Events, cancel it, and scrape the
+// server's /v1/metrics counters.
 //
 //	c := client.New("http://127.0.0.1:8372")
 //	job, err := c.Submit(ctx, eda.Spec{Framework: "vrank", Problem: "mux4"})
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"llm4eda/eda"
-	"llm4eda/internal/simfarm"
 )
 
 // Job mirrors the server's job status wire form.
@@ -97,40 +96,6 @@ func (j *Job) DecodeReport() (*Report, error) {
 		return nil, fmt.Errorf("client: decoding job %s report: %w", j.ID, err)
 	}
 	return &r, nil
-}
-
-// FarmStats is the simulation farm's per-layer traffic as the server
-// reports it (the same type the eda.ReportWire carries as Cache).
-type FarmStats = simfarm.FarmStats
-
-// Stats mirrors the server's /v1/stats reply.
-type Stats struct {
-	Workers    int            `json:"workers"`
-	QueueDepth int            `json:"queue_depth"`
-	Draining   bool           `json:"draining,omitempty"`
-	JobStates  map[string]int `json:"job_states"`
-	Submitted  uint64         `json:"submitted"`
-	Completed  uint64         `json:"completed"`
-	Failed     uint64         `json:"failed"`
-	Cancelled  uint64         `json:"cancelled"`
-	Rejected   uint64         `json:"rejected"`
-	// Resilience counters: recovered pipeline panics, watchdog-cancelled
-	// wedged jobs, absorbed transient retries, failed report-store writes,
-	// and replay-ring evictions summed over retained jobs.
-	Panics        uint64 `json:"panics,omitempty"`
-	WatchdogKills uint64 `json:"watchdog_kills,omitempty"`
-	Retries       uint64 `json:"retries,omitempty"`
-	StoreFails    uint64 `json:"store_fails,omitempty"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	// Queue-wait distribution over finished jobs (enqueue→worker-pop).
-	QueueWaitP50MS float64 `json:"queue_wait_p50_ms"`
-	QueueWaitP99MS float64 `json:"queue_wait_p99_ms"`
-	ReportCache    struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-		Len    int    `json:"len"`
-	} `json:"report_cache"`
-	Farm FarmStats `json:"farm"`
 }
 
 // APIError is a non-2xx server reply.
@@ -415,15 +380,6 @@ func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
 		case <-t.C:
 		}
 	}
-}
-
-// Stats fetches the server's queue/cache statistics.
-func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	var st Stats
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // Metrics fetches GET /v1/metrics verbatim: the server's full telemetry

@@ -8,11 +8,11 @@
 //	report, err := eda.Run(ctx, spec, eda.WithSink(sink))
 //
 // Run resolves the framework in the Registry, derives a deadline from the
-// spec, streams progress events (phases, scored candidates, LLM calls,
-// simfarm cache traffic) to the sink, and returns a uniform Report with
-// the framework-native result attached as Detail. Cancellation propagates
-// end to end: the long framework loops check ctx between rounds and the
-// simfarm worker pool aborts a batch within one simulation.
+// spec, streams progress events (phases, scored candidates, LLM calls)
+// to the sink, and returns a uniform Report with the framework-native
+// result attached as Detail. Cancellation propagates end to end: the
+// long framework loops check ctx between rounds and the simfarm worker
+// pool aborts a batch within one simulation.
 //
 // The package is the substrate any serve/queue/sharding layer builds on:
 // a Spec is serializable work, a Report is a serializable outcome, and
@@ -28,7 +28,6 @@ import (
 
 	"llm4eda/internal/core"
 	"llm4eda/internal/obs"
-	"llm4eda/internal/simfarm"
 )
 
 // RunSpec is the shared execution envelope (seed, tier, workers,
@@ -112,11 +111,16 @@ func (s Spec) ValidateIn(reg *Registry) error {
 	return nil
 }
 
-// Report is the uniform outcome of one front-door run.
+// Report is the uniform outcome of one front-door run. It is a pure
+// function of the normalized spec: no wall-clock time, cache traffic or
+// worker count lands in it, so the same spec always encodes to the same
+// bytes. Run telemetry lives in the obs spans and the service's
+// /v1/metrics instead.
 type Report struct {
 	// Framework echoes the resolved pipeline name.
 	Framework string
-	// Spec echoes the (default-filled) spec that ran.
+	// Spec echoes the (default-filled) spec that ran, minus the
+	// scheduling-only Run.Workers and Run.Deadline.
 	Spec Spec
 	// OK is the pipeline's headline success bit (all problems solved, all
 	// kernels repaired, ...).
@@ -129,15 +133,6 @@ type Report struct {
 	// Detail is the framework-native result (*autochip.Result,
 	// []*core.Report, ...) for callers that need more than the envelope.
 	Detail any
-	// Elapsed is the wall clock of the pipeline run.
-	Elapsed time.Duration
-	// Cache is the simfarm traffic observed during this run: the delta of
-	// the process-shared farm's counters across the run. The shared farm
-	// is what makes cross-run compile reuse work, so when several
-	// eda.Run calls execute concurrently each delta includes the
-	// neighbors' traffic — treat the counters as process-level
-	// observability during the run, not per-run attribution.
-	Cache simfarm.FarmStats
 }
 
 // Metric records one headline number, allocating the map on first use.
@@ -179,7 +174,7 @@ type runOptions struct {
 }
 
 // WithSink streams the run's events to sink (phases, candidates, LLM
-// calls, cache traffic). The sink must tolerate concurrent Emit calls.
+// calls). The sink must tolerate concurrent Emit calls.
 func WithSink(sink Sink) Option {
 	return func(o *runOptions) { o.sink = sink }
 }
@@ -202,11 +197,10 @@ func WithRegistry(reg *Registry) Option {
 
 // Run executes one spec through its registered pipeline: validate, fill
 // defaults, derive the deadline, attach the event sink to the context,
-// run, and wrap the outcome in a Report that carries the simfarm cache
-// traffic of the run. The returned error is either a validation error, a
-// pipeline failure, or the context's cancellation error; on cancellation
-// the partial Report (when the pipeline produced one) is returned
-// alongside it.
+// run, and wrap the outcome in a Report. The returned error is either a
+// validation error, a pipeline failure, or the context's cancellation
+// error; on cancellation the partial Report (when the pipeline produced
+// one) is returned alongside it.
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -243,24 +237,22 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	sink.Emit(Event{Kind: EventRunStart, Framework: spec.Framework,
 		Detail: fmt.Sprintf("tier=%s seed=%d", spec.Run.Tier, spec.Run.Seed)})
 
-	before := simfarm.Default().Stats()
 	start := time.Now()
 	report, err := pipeline.Run(ctx, spec)
-	elapsed := time.Since(start)
 	// When a span recorder rides the context (the job service hangs one
 	// off every job), the whole pipeline is one phase; the farm records
 	// the finer lint/compile/sim splits inside it.
 	if sp := obs.SpansOf(ctx); sp != nil {
-		sp.Record(obs.PhasePipeline, elapsed)
+		sp.Record(obs.PhasePipeline, time.Since(start))
 	}
-	cache := simfarm.Default().Stats().Delta(before)
-	simfarm.EmitStats(sink, cache)
 
 	if report != nil {
 		report.Framework = spec.Framework
 		report.Spec = spec
-		report.Elapsed = elapsed
-		report.Cache = cache
+		// Workers and Deadline decide how fast and whether the run
+		// finishes, never what it computes; the echo drops them so two
+		// submitters of one spec get the same bytes.
+		report.Spec.Run.Workers, report.Spec.Run.Deadline = 0, 0
 		sink.Emit(Event{Kind: EventRunEnd, Framework: spec.Framework,
 			OK: report.OK && err == nil, Detail: report.Summary})
 	} else {

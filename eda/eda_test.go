@@ -42,8 +42,8 @@ func quickSpecs() map[string]eda.Spec {
 
 // TestEveryFrameworkInvocable drives all ten frameworks through
 // eda.Run and asserts the uniform contract: a report with a summary and
-// metrics, and an event stream bracketed by run-start/run-end that
-// carries the per-cache counters.
+// metrics, an event stream bracketed by run-start/run-end, and report
+// bytes that a second run on the now-warm farm reproduces exactly.
 func TestEveryFrameworkInvocable(t *testing.T) {
 	specs := quickSpecs()
 	if got, want := len(specs), len(eda.Frameworks()); got != want {
@@ -86,8 +86,16 @@ func TestEveryFrameworkInvocable(t *testing.T) {
 			if n := sink.Count(eda.EventRunEnd); n != 1 {
 				t.Errorf("run-end events = %d", n)
 			}
-			if n := sink.Count(eda.EventCache); n != 4 {
-				t.Errorf("cache events = %d, want 4 (parse/design/result/lint)", n)
+			first, err := report.JSON()
+			if err != nil {
+				t.Fatalf("JSON: %v", err)
+			}
+			again, err := eda.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("rerun: %v", err)
+			}
+			if second, _ := again.JSON(); string(second) != string(first) {
+				t.Errorf("warm rerun changed the report bytes:\n%s\nvs\n%s", first, second)
 			}
 			if !strings.Contains(report.Render(), fw) {
 				t.Errorf("render lacks framework name: %s", report.Render())
@@ -248,7 +256,7 @@ func TestRegistry(t *testing.T) {
 
 // TestDeterministicAcrossWorkerCounts pins the engine guarantee at the
 // API layer: the same spec at workers=1 and workers=8 yields identical
-// metrics.
+// report bytes.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := eda.Spec{Framework: "vrank", Problem: "alu8",
 		Run:    eda.RunSpec{Tier: "medium", Seed: 5},
@@ -265,6 +273,11 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		if b.Metrics[k] != v {
 			t.Errorf("metric %s: %g (1 worker) vs %g (8 workers)", k, v, b.Metrics[k])
 		}
+	}
+	ja, _ := a.JSON()
+	jb, _ := b.JSON()
+	if string(ja) != string(jb) {
+		t.Errorf("report bytes differ across worker counts:\n%s\nvs\n%s", ja, jb)
 	}
 }
 

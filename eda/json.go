@@ -3,26 +3,21 @@ package eda
 import (
 	"encoding/json"
 	"fmt"
-
-	"llm4eda/internal/simfarm"
 )
 
 // ReportWire is the stable machine-readable form of a Report. The CLI's
 // -json flag and the edaserver job endpoints both encode through it, and
 // the eda/client package decodes into the same type, so there is exactly
 // one report wire format in the system and a field added here reaches
-// every producer and consumer by construction. Elapsed travels as
-// fractional milliseconds; Detail is the framework-native result in its
-// natural JSON shape, kept raw so typed clients can decode it against
-// the framework's result struct.
+// every producer and consumer by construction. Detail is the
+// framework-native result in its natural JSON shape, kept raw so typed
+// clients can decode it against the framework's result struct.
 type ReportWire struct {
 	Framework string             `json:"framework"`
 	OK        bool               `json:"ok"`
 	Summary   string             `json:"summary"`
 	Metrics   map[string]float64 `json:"metrics,omitempty"`
-	ElapsedMS float64            `json:"elapsed_ms"`
 	Spec      Spec               `json:"spec"`
-	Cache     simfarm.FarmStats  `json:"cache"`
 	Detail    json.RawMessage    `json:"detail,omitempty"`
 }
 
@@ -43,9 +38,7 @@ func (r *Report) JSON() ([]byte, error) {
 		OK:        r.OK,
 		Summary:   r.Summary,
 		Metrics:   r.Metrics,
-		ElapsedMS: float64(r.Elapsed.Microseconds()) / 1e3,
 		Spec:      r.Spec,
-		Cache:     r.Cache,
 		Detail:    detail,
 	})
 }

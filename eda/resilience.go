@@ -12,7 +12,7 @@ import (
 // MetricTransientRetries is the Report metric counting per-problem
 // attempts that were retried after a transient failure. It is only set
 // when non-zero (so deterministic golden outputs are unchanged), and
-// the edaserver layer folds it into the /v1/stats retry counter.
+// the edaserver layer folds it into llm4eda_transient_retries_total.
 const MetricTransientRetries = "transient_retries"
 
 // transientRetryBudget bounds how many times one problem attempt is

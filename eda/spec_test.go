@@ -1,6 +1,7 @@
 package eda_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -164,7 +165,8 @@ func TestConcurrentRunsShareRegistry(t *testing.T) {
 }
 
 // TestReportJSONRoundTrip pins the shared wire format: metrics, spec
-// echo, and a decodable detail payload survive (*Report).JSON.
+// echo, and a decodable detail payload survive (*Report).JSON, and the
+// wire carries no field beyond them (no run telemetry).
 func TestReportJSONRoundTrip(t *testing.T) {
 	report, err := eda.Run(context.Background(), eda.Spec{
 		Framework: "vrank", Problem: "mux4", Params: map[string]float64{"k": 3},
@@ -181,11 +183,12 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		OK        bool               `json:"ok"`
 		Summary   string             `json:"summary"`
 		Metrics   map[string]float64 `json:"metrics"`
-		ElapsedMS float64            `json:"elapsed_ms"`
 		Spec      eda.Spec           `json:"spec"`
 		Detail    json.RawMessage    `json:"detail"`
 	}
-	if err := json.Unmarshal(b, &wire); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
 		t.Fatalf("decode: %v\n%s", err, b)
 	}
 	if wire.Framework != "vrank" || !reflect.DeepEqual(wire.Metrics, report.Metrics) {

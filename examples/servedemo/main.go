@@ -5,7 +5,8 @@
 // report cache, runs a second job through the cross-level debugger while
 // counting its per-round diagnosis frames off the SSE stream, runs a
 // third job through the lint engine while counting its per-round screen
-// verdicts, and prints the server's queue/cache statistics. The
+// verdicts, and prints the server's queue and cache counters from
+// /v1/metrics. The
 // `make serve-smoke` CI target runs exactly this against a freshly
 // started `llm4eda serve`.
 //
@@ -20,10 +21,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"llm4eda/eda"
 	"llm4eda/eda/client"
+	"llm4eda/internal/obs"
 )
 
 func main() {
@@ -43,7 +46,7 @@ func run(addr, framework, problem string) error {
 	c := client.New(addr)
 
 	// The server may still be binding its listener (serve-smoke starts it
-	// in the background moments before us): poll stats until it answers.
+	// in the background moments before us): poll metrics until it answers.
 	if err := waitReady(ctx, c); err != nil {
 		return fmt.Errorf("server at %s not ready: %w", addr, err)
 	}
@@ -72,7 +75,7 @@ func run(addr, framework, problem string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s %s: %s (%.1f ms)\n", report.Framework, job.State, report.Summary, report.ElapsedMS)
+	fmt.Printf("%s %s: %s (pipeline %.1f ms)\n", report.Framework, job.State, report.Summary, job.PhaseMS("pipeline"))
 	if job.State != "done" {
 		return fmt.Errorf("job finished %s: %s", job.State, job.Error)
 	}
@@ -161,13 +164,18 @@ func run(addr, framework, problem string) error {
 	}
 	fmt.Printf("lint screen events over SSE: %d\n", screens)
 
-	st, err := c.Stats(ctx)
+	text, err := c.Metrics(ctx)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("stats: %d workers, queue depth %d, %d completed, report cache %d/%d hit/miss, sim result cache %d hits\n",
-		st.Workers, st.QueueDepth, st.Completed,
-		st.ReportCache.Hits, st.ReportCache.Misses, st.Farm.Results.Hits)
+	m, err := obs.ParseText(strings.NewReader(text))
+	if err != nil {
+		return err
+	}
+	fmt.Printf("metrics: %g workers, queue depth %g, %g completed, report cache %g/%g hit/miss, sim result cache %g hits\n",
+		m["llm4eda_workers"], m["llm4eda_queue_depth"], m[`llm4eda_jobs_finished_total{state="done"}`],
+		m["llm4eda_report_cache_hits_total"], m["llm4eda_report_cache_misses_total"],
+		m[`llm4eda_farm_hits_total{layer="result"}`])
 	return nil
 }
 
@@ -175,7 +183,7 @@ func waitReady(ctx context.Context, c *client.Client) error {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		probe, probeCancel := context.WithTimeout(ctx, time.Second)
-		_, err := c.Stats(probe)
+		_, err := c.Metrics(probe)
 		probeCancel()
 		if err == nil {
 			return nil

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"llm4eda/internal/autochip"
 	"llm4eda/internal/benchset"
@@ -69,10 +68,8 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 	report := &core.Report{
 		Design: core.Design{Name: p.ID, Language: core.LangNaturalLanguage, Source: p.Spec},
 	}
-	stage := func(s core.Stage, task, detail string, ok bool, start time.Time) {
-		report.Append(core.StageRecord{
-			Stage: s, Task: task, Detail: detail, OK: ok, Duration: time.Since(start),
-		})
+	stage := func(s core.Stage, task, detail string, ok bool) {
+		report.Append(core.StageRecord{Stage: s, Task: task, Detail: detail, OK: ok})
 		sink.Emit(core.Event{
 			Kind: core.EventPhaseEnd, Framework: "agent", Phase: s.String(),
 			Seq: len(report.Stages), OK: ok, Detail: task + " — " + detail,
@@ -80,12 +77,10 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 	}
 
 	// Stage 1: specification (already given; the agent restates scope).
-	t0 := time.Now()
 	stage(core.StageSpecification, "specification optimization",
-		fmt.Sprintf("spec for %q (difficulty %d)", p.ID, p.Difficulty), true, t0)
+		fmt.Sprintf("spec for %q (difficulty %d)", p.ID, p.Difficulty), true)
 
 	// Stage 2: HDL generation with EDA feedback (AutoChip engine).
-	t0 = time.Now()
 	genRes, err := autochip.Run(ctx, p, autochip.Options{
 		RunSpec: cfg.RunSpec, Model: cfg.Model, K: 2, Depth: cfg.MaxDebugRounds, Sim: cfg.Sim,
 	})
@@ -95,11 +90,10 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 	design := genRes.Best.Source
 	stage(core.StageHDLGeneration, "code generation",
 		fmt.Sprintf("%d candidates over %d rounds", genRes.TotalCandidates, genRes.Rounds),
-		genRes.Solved, t0)
+		genRes.Solved)
 	report.Design = core.Design{Name: p.ID, Language: core.LangVerilog, Source: design, TopModule: p.TopModule}
 
 	// Stage 3: testbench generation.
-	t0 = time.Now()
 	tb := p.Testbench()
 	tbDetail := "reference testbench"
 	if cfg.UseModelTestbench {
@@ -117,19 +111,18 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 				strings.Count(tb, "$check_eq"), p.Checks())
 		}
 	}
-	stage(core.StageTestbench, "testbench generation", tbDetail, true, t0)
+	stage(core.StageTestbench, "testbench generation", tbDetail, true)
 
 	// Stage 4: simulation. The design was just scored by the AutoChip
 	// stage, so the farm serves the compile (and often the whole run)
 	// from cache.
-	t0 = time.Now()
 	simRes, err := simfarm.RunTestbench(design, tb, "tb", cfg.Sim)
 	simOK := err == nil && simRes != nil && simRes.Passed()
 	detail := "simulation failed to compile"
 	if err == nil {
 		detail = fmt.Sprintf("%d/%d checks pass", simRes.Checks-simRes.Failures, simRes.Checks)
 	}
-	stage(core.StageSimulation, "design verification", detail, simOK, t0)
+	stage(core.StageSimulation, "design verification", detail, simOK)
 
 	// Stage 5: debugging (only when needed): one more feedback round
 	// against the reference bench.
@@ -137,7 +130,6 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 		return report, err
 	}
 	if !simOK {
-		t0 = time.Now()
 		fixed := autochip.Evaluate(p, design, cfg.Sim)
 		resp, err := cfg.Model.Generate(llm.Request{
 			System: llm.SystemVerilogDesigner,
@@ -156,9 +148,9 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 			stage(core.StageDebugging, "bug detection and correction",
 				fmt.Sprintf("pass fraction %.2f -> %.2f",
 					fixed.Verdict.PassFraction(), cand.Verdict.PassFraction()),
-				cand.Verdict.Pass(), t0)
+				cand.Verdict.Pass())
 		} else {
-			stage(core.StageDebugging, "bug detection and correction", err.Error(), false, t0)
+			stage(core.StageDebugging, "bug detection and correction", err.Error(), false)
 		}
 	}
 
@@ -170,18 +162,16 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 	if err := ctx.Err(); err != nil {
 		return report, err
 	}
-	t0 = time.Now()
 	sr, err := synth.SynthesizeRTL(design, p.TopModule, cfg.SynthOptions)
 	if err != nil {
-		stage(core.StageSynthesis, "logic synthesis", err.Error(), false, t0)
+		stage(core.StageSynthesis, "logic synthesis", err.Error(), false)
 		return report, nil
 	}
-	stage(core.StageSynthesis, "logic synthesis", sr.String(), true, t0)
+	stage(core.StageSynthesis, "logic synthesis", sr.String(), true)
 	report.Final = sr.PPA()
 
 	// Stage 7: PPA optimization: LLM rewrite, kept only when it verifies
 	// and improves area.
-	t0 = time.Now()
 	resp, err := cfg.Model.Generate(llm.Request{
 		System: llm.SystemVerilogDesigner,
 		Prompt: llm.BuildSynthHintPrompt(design),
@@ -194,12 +184,12 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 				report.Design.Source = resp.Text
 				report.Final = sr2.PPA()
 				stage(core.StagePPAOptimization, "ppa optimization",
-					fmt.Sprintf("area %.0f -> %.0f gates", sr.Gates, sr2.Gates), true, t0)
+					fmt.Sprintf("area %.0f -> %.0f gates", sr.Gates, sr2.Gates), true)
 				return report, nil
 			}
 		}
 	}
-	stage(core.StagePPAOptimization, "ppa optimization", "no profitable rewrite found", true, t0)
+	stage(core.StagePPAOptimization, "ppa optimization", "no profitable rewrite found", true)
 	return report, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Stage identifies a step of the chip design flow shown in Fig. 1 of the
@@ -182,11 +181,10 @@ func (v Verdict) String() string {
 // StageRecord is one row of a flow Report: which stage ran, which LLM task
 // the paper maps onto it, and what happened.
 type StageRecord struct {
-	Stage    Stage
-	Task     string // e.g. "code generation", "testbench generation"
-	Detail   string
-	Duration time.Duration
-	OK       bool
+	Stage  Stage
+	Task   string // e.g. "code generation", "testbench generation"
+	Detail string
+	OK     bool
 }
 
 // Report is the unified multi-stage record produced by the agent (Fig. 6):

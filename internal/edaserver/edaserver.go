@@ -8,8 +8,9 @@
 //	DELETE /v1/jobs/{id}        cancel (queued jobs never start;
 //	                            running jobs get their context cancelled)
 //	GET    /v1/jobs/{id}/events stream the run's core events as SSE
-//	GET    /v1/stats            queue depth, job counters, report-cache
-//	                            and simfarm cache traffic
+//	GET    /v1/metrics          every counter, gauge and latency summary
+//	                            (job flow, queue, report store, simfarm
+//	                            caches) in Prometheus text format
 //
 // Jobs land on a bounded queue sharded by the spec's content key, so
 // identical specs serialize on one worker in submission order while
@@ -67,7 +68,7 @@ type Options struct {
 	EventHistory int
 	// Registry resolves frameworks (default eda.DefaultRegistry()).
 	Registry *eda.Registry
-	// Farm is the shared simulation-cache farm surfaced by /v1/stats
+	// Farm is the shared simulation-cache farm surfaced by /v1/metrics
 	// (default simfarm.Default(), the same farm eda.Run executes on).
 	Farm *simfarm.Farm
 	// Watchdog, when positive, arms a per-job staleness watchdog: a
@@ -84,7 +85,7 @@ type Options struct {
 	// Metrics is the telemetry registry behind GET /v1/metrics — the
 	// job-latency and per-phase histograms record into it, and the
 	// scrape handler harvests everything else (server counters, farm
-	// and VM stats, fault counters) live. Default: a fresh registry per
+	// stats, fault counters) live. Default: a fresh registry per
 	// server; pass one to aggregate several servers into one scrape.
 	Metrics *obs.Registry
 	// Log receives structured job-lifecycle logs, every record carrying
@@ -143,7 +144,8 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// queued counts jobs accepted onto the shards but not yet popped by
-	// a worker — the global QueueDepth bound and the /v1/stats depth.
+	// a worker — the global QueueDepth bound and the llm4eda_queue_depth
+	// gauge.
 	queued atomic.Int64
 
 	// mu guards the job table. Lock ordering: mu before job.mu.
@@ -160,7 +162,7 @@ type Server struct {
 	cancelled atomic.Uint64
 	rejected  atomic.Uint64
 
-	// Resilience counters (all surfaced by /v1/stats): pipeline panics
+	// Resilience counters (all surfaced by /v1/metrics): pipeline panics
 	// recovered into failed jobs, watchdog kills of wedged jobs,
 	// transient-failure retries harvested from completed reports, and
 	// report-store writes that failed (injected — the in-memory store
@@ -202,7 +204,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	return s
 }

@@ -11,7 +11,6 @@ import (
 	"llm4eda/eda"
 	"llm4eda/internal/faultinject"
 	"llm4eda/internal/obs"
-	"llm4eda/internal/simfarm"
 )
 
 // maxSpecBytes bounds a submitted spec body; Source payloads are at most
@@ -52,51 +51,6 @@ type PhaseStatus struct {
 	Phase string  `json:"phase"`
 	MS    float64 `json:"ms"`
 	N     int     `json:"n"`
-}
-
-// StatsReply is the wire form of /v1/stats.
-type StatsReply struct {
-	Workers    int  `json:"workers"`
-	QueueDepth int  `json:"queue_depth"`
-	Draining   bool `json:"draining,omitempty"`
-	// JobStates counts retained jobs by state.
-	JobStates map[string]int `json:"job_states"`
-	Submitted uint64         `json:"submitted"`
-	Completed uint64         `json:"completed"`
-	Failed    uint64         `json:"failed"`
-	Cancelled uint64         `json:"cancelled"`
-	Rejected  uint64         `json:"rejected"`
-	// Panics counts pipeline panics recovered into failed jobs (the
-	// farm's own recovered worker panics are under Farm.Panics).
-	Panics uint64 `json:"panics,omitempty"`
-	// WatchdogKills counts jobs cancelled for event staleness.
-	WatchdogKills uint64 `json:"watchdog_kills,omitempty"`
-	// Retries counts transient-failure retries absorbed inside completed
-	// runs' candidate loops.
-	Retries uint64 `json:"retries,omitempty"`
-	// StoreFails counts report-store writes that failed (fault-injected).
-	StoreFails uint64 `json:"store_fails,omitempty"`
-	// EventsDropped sums replay-ring evictions over retained jobs.
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	// QueueWaitP50MS/P99MS summarize the enqueue→worker-pop wait
-	// distribution over finished jobs (from the queue_wait phase
-	// histogram — the early-warning signal before the queue fills and
-	// submissions start bouncing with 429).
-	QueueWaitP50MS float64 `json:"queue_wait_p50_ms"`
-	QueueWaitP99MS float64 `json:"queue_wait_p99_ms"`
-	// ReportCache is the cross-request report store's traffic.
-	ReportCache ReportCacheStats `json:"report_cache"`
-	// Farm is the shared simulation farm's per-layer traffic; its Results
-	// hits are the cross-request design/simulation reuse the service
-	// exists to exploit.
-	Farm simfarm.FarmStats `json:"farm"`
-}
-
-// ReportCacheStats is the report store's corner of /v1/stats.
-type ReportCacheStats struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Len    int    `json:"len"`
 }
 
 // errorReply is the JSON body of every non-2xx response.
@@ -227,43 +181,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		jb.mu.Unlock() // already terminal: cancellation is a no-op
 	}
 	writeJSON(w, http.StatusOK, jb.status())
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	states := map[string]int{}
-	var eventsDropped uint64
-	s.mu.Lock()
-	for _, jb := range s.jobs {
-		jb.mu.Lock()
-		states[jb.state]++
-		jb.mu.Unlock()
-		eventsDropped += jb.events.droppedCount()
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, StatsReply{
-		Workers:        len(s.shards),
-		QueueDepth:     s.queueDepth(),
-		Draining:       s.isDraining(),
-		JobStates:      states,
-		Submitted:      s.submitted.Load(),
-		Completed:      s.completed.Load(),
-		Failed:         s.failed.Load(),
-		Cancelled:      s.cancelled.Load(),
-		Rejected:       s.rejected.Load(),
-		Panics:         s.panics.Load(),
-		WatchdogKills:  s.watchdogKills.Load(),
-		Retries:        s.retries.Load(),
-		StoreFails:     s.storeFails.Load(),
-		EventsDropped:  eventsDropped,
-		QueueWaitP50MS: s.metrics.queueWaitQuantileMS(0.5),
-		QueueWaitP99MS: s.metrics.queueWaitQuantileMS(0.99),
-		ReportCache: ReportCacheStats{
-			Hits:   s.store.hits.Load(),
-			Misses: s.store.miss.Load(),
-			Len:    s.store.len(),
-		},
-		Farm: s.opts.Farm.Stats(),
-	})
 }
 
 // handleEvents streams the job's event history and live tail as

@@ -13,7 +13,7 @@ import (
 
 // serverMetrics is the server's corner of the obs registry: the latency
 // histograms that record as jobs move (everything else — counters the
-// server already keeps as atomics, farm/VM/fault stats owned by other
+// server already keeps as atomics, farm and fault stats owned by other
 // packages — is harvested live at scrape time by handleMetrics, so no
 // state is kept twice).
 type serverMetrics struct {
@@ -51,18 +51,13 @@ func (m *serverMetrics) phase(name string) *obs.Histogram {
 	return m.reg.Histogram(phaseFamily, phaseHelp, "phase", name)
 }
 
-// queueWaitQuantile reads the aggregate queue-wait distribution (for
-// /v1/stats, in milliseconds).
-func (m *serverMetrics) queueWaitQuantileMS(q float64) float64 {
-	return float64(m.phases[obs.PhaseQueueWait].Quantile(q)) / 1e6
-}
-
 // handleMetrics serves GET /v1/metrics: the full telemetry surface in
 // Prometheus text exposition format — the registry's histograms plus
 // every counter harvested live from the server, the report store, the
-// farm (cache layers, lint screen, VM dispatch tiers) and the fault
-// injector. One scrape answers "what is this service doing": job flow,
-// latency distributions, queue pressure, cache economics, chaos damage.
+// farm (cache layers, lint screen, recovered panics) and the fault
+// injector. It is the service's only counter surface: one scrape
+// answers "what is this service doing" — job flow, latency
+// distributions, queue pressure, cache economics, chaos damage.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b bytes.Buffer
 	s.metrics.reg.Expose(&b)

@@ -2,11 +2,12 @@ package edaserver_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +15,20 @@ import (
 	"llm4eda/eda"
 	"llm4eda/eda/client"
 	"llm4eda/internal/edaserver"
+	"llm4eda/internal/obs"
 	"llm4eda/internal/testutil"
 )
 
-// scrapeMetrics fetches /v1/metrics raw and returns the body plus a
-// value lookup map keyed by the full sample name (labels included).
+// Sample names the tests read most, exactly as /v1/metrics exposes them.
+const (
+	mDone      = `llm4eda_jobs_finished_total{state="done"}`
+	mFailed    = `llm4eda_jobs_finished_total{state="failed"}`
+	mCancelled = `llm4eda_jobs_finished_total{state="cancelled"}`
+)
+
+// scrapeMetrics fetches /v1/metrics raw and returns the body plus every
+// sample value, read through obs.ParseText and keyed by the full sample
+// name (labels included). A malformed line fails the test.
 func scrapeMetrics(t *testing.T, baseURL string) (string, map[string]float64) {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/v1/metrics")
@@ -32,30 +42,22 @@ func scrapeMetrics(t *testing.T, baseURL string) (string, map[string]float64) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("scrape: content type %q, want text/plain exposition", ct)
 	}
-	vals := map[string]float64{}
-	var body strings.Builder
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		body.WriteString(line)
-		body.WriteByte('\n')
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		idx := strings.LastIndexByte(line, ' ')
-		if idx < 0 {
-			t.Fatalf("scrape: malformed sample line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[idx+1:], 64)
-		if err != nil {
-			t.Fatalf("scrape: non-numeric value in %q: %v", line, err)
-		}
-		vals[line[:idx]] = v
-	}
-	if err := sc.Err(); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
-	return body.String(), vals
+	vals, err := obs.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	return string(body), vals
+}
+
+// metrics scrapes the harness server's counters.
+func (h *testHarness) metrics(t *testing.T) map[string]float64 {
+	t.Helper()
+	_, vals := scrapeMetrics(t, h.ts.URL)
+	return vals
 }
 
 // TestMetricsScrapeFormat runs real traffic (a fresh job and a cached
@@ -269,7 +271,7 @@ func TestSpanBreakdownCompleteness(t *testing.T) {
 
 // TestQueueWaitSurfaced saturates a one-worker server so the second job
 // measurably queues, then checks the wait surfaces per job and in the
-// /v1/stats percentiles.
+// queue_wait phase quantiles of /v1/metrics.
 func TestQueueWaitSurfaced(t *testing.T) {
 	defer testutil.GoroutineGuard(t)
 	reg, release := blockingRegistry(t)
@@ -302,14 +304,27 @@ func TestQueueWaitSurfaced(t *testing.T) {
 	if fin.QueueWaitMS < 40 {
 		t.Errorf("second job queue_wait_ms = %v, want >= 40 (sat behind the blocked worker)", fin.QueueWaitMS)
 	}
-	st, err := h.c.Stats(ctx)
+	m := h.metrics(t)
+	p50 := m[`llm4eda_job_phase_seconds{phase="queue_wait",quantile="0.5"}`]
+	p99 := m[`llm4eda_job_phase_seconds{phase="queue_wait",quantile="0.99"}`]
+	if p99 <= 0 {
+		t.Errorf("queue_wait p99 = %vs, want > 0", p99)
+	}
+	if p50 > p99 {
+		t.Errorf("queue wait p50 %vs > p99 %vs", p50, p99)
+	}
+}
+
+// TestStatsRouteGone: /v1/metrics is the service's only counter surface;
+// the retired JSON stats view answers 404.
+func TestStatsRouteGone(t *testing.T) {
+	h := newHarness(t, edaserver.Options{Workers: 1})
+	resp, err := http.Get(h.ts.URL + "/v1/stats")
 	if err != nil {
-		t.Fatalf("stats: %v", err)
+		t.Fatal(err)
 	}
-	if st.QueueWaitP99MS <= 0 {
-		t.Errorf("stats queue_wait_p99_ms = %v, want > 0", st.QueueWaitP99MS)
-	}
-	if st.QueueWaitP50MS > st.QueueWaitP99MS {
-		t.Errorf("queue wait p50 %v > p99 %v", st.QueueWaitP50MS, st.QueueWaitP99MS)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/stats = %d, want 404", resp.StatusCode)
 	}
 }

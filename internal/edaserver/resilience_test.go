@@ -2,6 +2,7 @@ package edaserver_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -46,12 +47,10 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	if done := waitState(t, h.c, next.ID, "done"); done.Error != "" {
 		t.Errorf("post-panic job error: %s", done.Error)
 	}
-	st, err := h.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Panics != 1 || st.Failed != 1 || st.Completed != 1 {
-		t.Errorf("stats panics=%d failed=%d completed=%d, want 1/1/1", st.Panics, st.Failed, st.Completed)
+	m := h.metrics(t)
+	if m["llm4eda_panics_total"] != 1 || m[mFailed] != 1 || m[mDone] != 1 {
+		t.Errorf("metrics panics=%v failed=%v completed=%v, want 1/1/1",
+			m["llm4eda_panics_total"], m[mFailed], m[mDone])
 	}
 }
 
@@ -121,12 +120,8 @@ func TestLeaderPanicFollowerCleanFailure(t *testing.T) {
 	if panicked != 1 || clean != 1 {
 		t.Fatalf("panicked=%d clean=%d, want exactly one of each", panicked, clean)
 	}
-	st, err := h.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Panics != 1 {
-		t.Errorf("stats panics = %d, want 1", st.Panics)
+	if got := h.metrics(t)["llm4eda_panics_total"]; got != 1 {
+		t.Errorf("metrics panics = %v, want 1", got)
 	}
 }
 
@@ -146,13 +141,10 @@ func TestWatchdogKillsWedgedJob(t *testing.T) {
 	if !strings.Contains(final.Error, "watchdog") || !strings.Contains(final.Error, "wedged") {
 		t.Errorf("wedged job error = %q, want the watchdog detail", final.Error)
 	}
-	st, err := h.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.WatchdogKills != 1 || st.Failed != 1 || st.Cancelled != 0 {
-		t.Errorf("stats watchdog_kills=%d failed=%d cancelled=%d, want 1/1/0",
-			st.WatchdogKills, st.Failed, st.Cancelled)
+	m := h.metrics(t)
+	if m["llm4eda_watchdog_kills_total"] != 1 || m[mFailed] != 1 || m[mCancelled] != 0 {
+		t.Errorf("metrics watchdog_kills=%v failed=%v cancelled=%v, want 1/1/0",
+			m["llm4eda_watchdog_kills_total"], m[mFailed], m[mCancelled])
 	}
 }
 
@@ -187,12 +179,8 @@ func TestWatchdogSparesChattyJob(t *testing.T) {
 	if final := waitState(t, h.c, job.ID, "done"); final.Error != "" {
 		t.Errorf("chatty job error: %s", final.Error)
 	}
-	st, err := h.c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.WatchdogKills != 0 {
-		t.Errorf("watchdog killed a live job %d times", st.WatchdogKills)
+	if got := h.metrics(t)["llm4eda_watchdog_kills_total"]; got != 0 {
+		t.Errorf("watchdog killed a live job %v times", got)
 	}
 }
 
@@ -303,7 +291,7 @@ func TestSSEAfterQueryReplay(t *testing.T) {
 
 // TestDroppedEventsSurfaced: a replay ring smaller than the run's event
 // count must evict — and the eviction count must be visible on the job
-// status, in /v1/stats, and on the SSE end frame, with the replay
+// status, in /v1/metrics, and on the SSE end frame, with the replay
 // holding exactly the retained tail.
 func TestDroppedEventsSurfaced(t *testing.T) {
 	const history = 4
@@ -318,12 +306,8 @@ func TestDroppedEventsSurfaced(t *testing.T) {
 	if final.EventsDropped == 0 {
 		t.Fatalf("job status reports no dropped events despite history %d", history)
 	}
-	st, err := h.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EventsDropped != final.EventsDropped {
-		t.Errorf("stats events_dropped = %d, job reports %d", st.EventsDropped, final.EventsDropped)
+	if got := h.metrics(t)["llm4eda_events_dropped_total"]; got != float64(final.EventsDropped) {
+		t.Errorf("metrics events_dropped = %v, job reports %d", got, final.EventsDropped)
 	}
 	var n atomic.Int64
 	endFrame, err := h.c.Events(ctx, job.ID, eda.SinkFunc(func(eda.Event) { n.Add(1) }))
@@ -339,9 +323,9 @@ func TestDroppedEventsSurfaced(t *testing.T) {
 }
 
 // TestStoreWriteFaultRecompute: a dropped report-store write costs one
-// recomputation, never a wrong answer — the resubmission runs fresh,
-// and once the store write goes through, the third submission is served
-// from cache again.
+// recomputation, never a wrong answer — the resubmission runs fresh and
+// produces the first run's exact bytes, and once the store write goes
+// through, the third submission is served from cache again.
 func TestStoreWriteFaultRecompute(t *testing.T) {
 	in := faultinject.New(faultinject.Plan{Faults: []faultinject.Fault{
 		{Point: faultinject.PointServerStore, Kind: faultinject.KindDrop, Every: 1, Max: 1},
@@ -353,7 +337,7 @@ func TestStoreWriteFaultRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, h.c, first.ID, "done")
+	firstDone := waitState(t, h.c, first.ID, "done")
 
 	second, err := h.c.Submit(ctx, quickSpec(51))
 	if err != nil {
@@ -362,7 +346,10 @@ func TestStoreWriteFaultRecompute(t *testing.T) {
 	if second.Cached {
 		t.Fatal("second submission served from a store whose write was dropped")
 	}
-	waitState(t, h.c, second.ID, "done")
+	secondDone := waitState(t, h.c, second.ID, "done")
+	if !bytes.Equal(secondDone.Report, firstDone.Report) {
+		t.Errorf("recomputed report differs from the first:\n%s\nvs\n%s", secondDone.Report, firstDone.Report)
+	}
 
 	third, err := h.c.Submit(ctx, quickSpec(51))
 	if err != nil {
@@ -371,14 +358,14 @@ func TestStoreWriteFaultRecompute(t *testing.T) {
 	if !third.Cached || third.State != "done" {
 		t.Errorf("third submission cached=%v state=%q, want immediate cached done", third.Cached, third.State)
 	}
-	st, err := h.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(third.Report, firstDone.Report) {
+		t.Errorf("cached report differs from the first computed one")
 	}
-	if st.StoreFails != 1 {
-		t.Errorf("stats store_fails = %d, want 1", st.StoreFails)
+	m := h.metrics(t)
+	if got := m["llm4eda_store_fails_total"]; got != 1 {
+		t.Errorf("metrics store_fails = %v, want 1", got)
 	}
-	if st.Completed != 3 {
-		t.Errorf("completed = %d, want 3", st.Completed)
+	if got := m[mDone]; got != 3 {
+		t.Errorf("completed = %v, want 3", got)
 	}
 }

@@ -119,7 +119,7 @@ func waitState(t *testing.T, c *client.Client, id, state string) *client.Job {
 
 // TestEndToEndConcurrentClients is the acceptance scenario: two clients
 // submit the same quick-scale spec concurrently; both must receive
-// byte-identical reports, /v1/stats must show the cross-request cache
+// byte-identical reports, /v1/metrics must show the cross-request cache
 // hit, the SSE stream must deliver start/progress/done, and shutdown
 // must drain without leaking goroutines.
 func TestEndToEndConcurrentClients(t *testing.T) {
@@ -170,18 +170,15 @@ func TestEndToEndConcurrentClients(t *testing.T) {
 	// One of the two identical jobs must have been served from the
 	// content-addressed report store, and the farm's result layer must
 	// have seen hits (bench reuse inside the run at minimum).
-	st, err := h.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := h.metrics(t)
+	if got := m["llm4eda_report_cache_hits_total"]; got < 1 {
+		t.Errorf("report cache hits = %v, want >= 1", got)
 	}
-	if st.ReportCache.Hits < 1 {
-		t.Errorf("report cache hits = %d, want >= 1: %+v", st.ReportCache.Hits, st)
+	if m[`llm4eda_farm_hits_total{layer="result"}`] == 0 {
+		t.Error("no simulation result-cache hits recorded in /v1/metrics")
 	}
-	if st.Farm.Results.Hits == 0 {
-		t.Error("no simulation result-cache hits recorded in /v1/stats")
-	}
-	if st.Completed != 2 {
-		t.Errorf("completed = %d, want 2", st.Completed)
+	if got := m[mDone]; got != 2 {
+		t.Errorf("completed = %v, want 2", got)
 	}
 
 	// The executed (non-cached) job's SSE stream replays the full run:
@@ -296,12 +293,9 @@ func TestBackpressure(t *testing.T) {
 	if errors.As(err, &ae) && ae.RetryAfter <= 0 {
 		t.Errorf("429 reply carries no Retry-After hint: %+v", ae)
 	}
-	st, err := h.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rejected != 1 || st.QueueDepth != 1 {
-		t.Errorf("stats rejected=%d queue_depth=%d, want 1/1", st.Rejected, st.QueueDepth)
+	m := h.metrics(t)
+	if rej, depth := m["llm4eda_jobs_rejected_total"], m["llm4eda_queue_depth"]; rej != 1 || depth != 1 {
+		t.Errorf("metrics rejected=%v queue_depth=%v, want 1/1", rej, depth)
 	}
 
 	close(release) // both blocked runs return
@@ -337,12 +331,8 @@ func TestCancelQueued(t *testing.T) {
 	// The cancelled job's QueueDepth reservation is returned immediately
 	// (not when a worker drains past the corpse), so the full queue is
 	// usable again while the first job still runs.
-	st, err := h.c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.QueueDepth != 0 {
-		t.Errorf("queue depth after cancelling the only queued job = %d, want 0", st.QueueDepth)
+	if depth := h.metrics(t)["llm4eda_queue_depth"]; depth != 0 {
+		t.Errorf("queue depth after cancelling the only queued job = %v, want 0", depth)
 	}
 	refill, err := h.c.Submit(ctx, eda.Spec{Framework: "block", Run: eda.RunSpec{Seed: 3}})
 	if err != nil {
@@ -451,14 +441,10 @@ func TestShutdownDrains(t *testing.T) {
 		sdErr <- h.srv.Shutdown(ctxSD)
 	}()
 	// Draining flips synchronously with the shard-channel close; poll
-	// stats until visible, then probe the intake.
+	// the draining gauge until visible, then probe the intake.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st, err := h.c.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Draining {
+		if h.metrics(t)["llm4eda_draining"] == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -529,12 +515,15 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 	// Nothing above may have consumed queue capacity or minted jobs.
-	st, err := h.c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	m := h.metrics(t)
+	if m["llm4eda_jobs_submitted_total"] != 0 || m["llm4eda_queue_depth"] != 0 {
+		t.Errorf("rejected specs left residue: submitted=%v queue_depth=%v",
+			m["llm4eda_jobs_submitted_total"], m["llm4eda_queue_depth"])
 	}
-	if st.Submitted != 0 || st.QueueDepth != 0 || len(st.JobStates) != 0 {
-		t.Errorf("rejected specs left residue: %+v", st)
+	for _, state := range []string{"queued", "running", "done", "failed", "cancelled"} {
+		if n := m[fmt.Sprintf(`llm4eda_jobs{state=%q}`, state)]; n != 0 {
+			t.Errorf("rejected specs minted %v %s jobs", n, state)
+		}
 	}
 }
 

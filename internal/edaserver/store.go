@@ -90,7 +90,7 @@ func (s *reportStore) get(key string) (*reportEntry, bool) {
 // peek is the worker's pop-time re-probe: a real serve counts as a hit,
 // but an absence records no second miss — the submit-time get already
 // counted this job's miss, and double-counting would halve the hit rate
-// /v1/stats reports.
+// /v1/metrics reports.
 func (s *reportStore) peek(key string) (*reportEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency telemetry core of the repo: atomic
 // counters and gauges, log-bucketed latency histograms with quantile
 // extraction, a registry that renders everything in Prometheus text
-// exposition format, and a per-job span recorder carried on the context
-// (see span.go).
+// exposition format (and ParseText, which reads that format back), and
+// a per-job span recorder carried on the context (see span.go).
 //
 // Two contracts shape the API:
 //
@@ -19,9 +19,11 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,6 +245,41 @@ func WriteFamily(w io.Writer, name, help, kind string, samples ...Sample) {
 	for _, s := range samples {
 		fmt.Fprintf(w, "%s%s %s\n", name, renderLabels(s.Labels), formatValue(s.Value))
 	}
+}
+
+// ParseText reads a text exposition back into sample values, the inverse
+// of Expose and WriteFamily: each sample line maps to its value, keyed by
+// the sample name with its label block exactly as written
+// (`llm4eda_jobs{state="done"}`). Comment and blank lines are skipped. A
+// line without a value, a value that is not a number, or a sample that
+// appears twice is an error.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	vals := map[string]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			return nil, fmt.Errorf("obs: line %d: malformed sample %q", n, line)
+		}
+		key := line[:i]
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("obs: line %d: bad value in %q", n, line)
+		}
+		if _, dup := vals[key]; dup {
+			return nil, fmt.Errorf("obs: line %d: duplicate sample %s", n, key)
+		}
+		vals[key] = v
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("obs: reading exposition: %w", err)
+	}
+	return vals, nil
 }
 
 func writeHeader(w io.Writer, name, help, kind string) {

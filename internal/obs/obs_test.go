@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -148,6 +149,60 @@ func TestWriteFamilyEscaping(t *testing.T) {
 	}
 	if !strings.Contains(out, `faults_total{point="a\"b\\c\n"} 2`) {
 		t.Errorf("label not escaped: %q", out)
+	}
+}
+
+// TestParseTextRoundTrip writes registry families and a harvested family
+// and reads them back through ParseText with exact values.
+func TestParseTextRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("jobs_total", "Jobs.", "state", "done").Add(3)
+	r.Counter("jobs_total", "Jobs.", "state", "failed").Inc()
+	r.Gauge("queue_depth", "Queued jobs.").Set(7)
+	h := r.Histogram("phase_seconds", "Phase latency.", "phase", "sim")
+	h.Record(2 * time.Millisecond)
+	h.Record(4 * time.Millisecond)
+
+	var b strings.Builder
+	r.Expose(&b)
+	WriteFamily(&b, "hit_ratio", "Harvested.", KindGauge,
+		Sample{Labels: []string{"layer", "result"}, Value: 0.25},
+		Sample{Labels: []string{"layer", `a "b"`}, Value: 12})
+	got, err := ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("ParseText: %v\n%s", err, b.String())
+	}
+	want := map[string]float64{
+		`jobs_total{state="done"}`:         3,
+		`jobs_total{state="failed"}`:       1,
+		"queue_depth":                      7,
+		`phase_seconds_sum{phase="sim"}`:   0.006,
+		`phase_seconds_count{phase="sim"}`: 2,
+		`hit_ratio{layer="result"}`:        0.25,
+		`hit_ratio{layer="a \"b\""}`:       12,
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		want[fmt.Sprintf(`phase_seconds{phase="sim",quantile="%g"}`, q)] = h.Quantile(q).Seconds()
+	}
+	if len(got) != len(want) {
+		t.Errorf("parsed %d samples, want %d: %v", len(got), len(want), got)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Errorf("%s = %v (present=%v), want %v", k, g, ok, v)
+		}
+	}
+}
+
+func TestParseTextMalformed(t *testing.T) {
+	for name, text := range map[string]string{
+		"no value":    "# TYPE x counter\nx\n",
+		"non-numeric": "x{a=\"b\"} many\n",
+		"duplicate":   "x 1\nx 2\n",
+	} {
+		if got, err := ParseText(strings.NewReader(text)); err == nil {
+			t.Errorf("%s: ParseText = %v, want an error", name, got)
+		}
 	}
 }
 

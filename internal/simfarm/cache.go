@@ -27,11 +27,10 @@ type Stats struct {
 //
 // The traffic counters are atomics deliberately kept outside mu: snapshot
 // never takes the map lock, so an observability poller (the edaserver
-// /v1/stats handler, the per-run deltas eda.Run records) can hammer
-// Stats() without contending with worker-pool cache probes. A snapshot is
-// therefore not one consistent cut across counters — hits observed
-// mid-probe may be a step ahead of len — which is fine for monitoring and
-// for the settled before/after deltas the callers take.
+// /v1/metrics scrape) can hammer Stats() without contending with
+// worker-pool cache probes. A snapshot is therefore not one consistent
+// cut across counters — hits observed mid-probe may be a step ahead of
+// len — which is fine for monitoring.
 type lru struct {
 	mu  sync.Mutex
 	cap int

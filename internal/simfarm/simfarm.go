@@ -22,7 +22,6 @@ package simfarm
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -141,10 +140,9 @@ type FarmStats struct {
 // Stats snapshots the farm's counters. The snapshot is lock-free (each
 // layer's counters are atomics held outside the cache lock), so Stats is
 // safe and cheap to poll from any number of goroutines while RunMany is
-// saturating the caches — the edaserver /v1/stats handler does exactly
-// that. Counters are loaded individually, not as one consistent cut; the
-// before/after deltas eda.Run records are taken at rest, where that
-// distinction vanishes.
+// saturating the caches — every edaserver /v1/metrics scrape does
+// exactly that. Counters are loaded individually, not as one consistent
+// cut.
 func (f *Farm) Stats() FarmStats {
 	return FarmStats{
 		Parses:      f.parses.snapshot(),
@@ -164,60 +162,6 @@ func (f *Farm) Purge() {
 	f.results.purge()
 	f.hashes.purge()
 	f.lints.purge()
-}
-
-// Delta returns the per-layer traffic between an earlier snapshot and s.
-func (s FarmStats) Delta(earlier FarmStats) FarmStats {
-	return FarmStats{
-		Parses:      s.Parses.delta(earlier.Parses),
-		Designs:     s.Designs.delta(earlier.Designs),
-		Results:     s.Results.delta(earlier.Results),
-		Lints:       s.Lints.delta(earlier.Lints),
-		LintRejects: s.LintRejects - earlier.LintRejects,
-		Panics:      s.Panics - earlier.Panics,
-	}
-}
-
-func (s Stats) delta(earlier Stats) Stats {
-	return Stats{
-		Hits:      s.Hits - earlier.Hits,
-		Misses:    s.Misses - earlier.Misses,
-		Evictions: s.Evictions - earlier.Evictions,
-		Computes:  s.Computes - earlier.Computes,
-		Len:       s.Len,
-	}
-}
-
-// EmitStats streams the farm's per-cache counters as core cache events —
-// one per layer (parse, design, result) — to the given sink. Callers
-// wanting per-run traffic pass the delta of two snapshots.
-func EmitStats(sink core.Sink, stats FarmStats) {
-	if sink == nil {
-		return
-	}
-	for _, layer := range []struct {
-		name string
-		s    Stats
-	}{
-		{"parse", stats.Parses},
-		{"design", stats.Designs},
-		{"result", stats.Results},
-		{"lint", stats.Lints},
-	} {
-		detail := fmt.Sprintf("entries=%d", layer.s.Len)
-		if layer.name == "lint" {
-			detail = fmt.Sprintf("entries=%d rejects=%d", layer.s.Len, stats.LintRejects)
-		}
-		sink.Emit(core.Event{
-			Kind:      core.EventCache,
-			Framework: "simfarm",
-			Phase:     layer.name,
-			Detail:    detail,
-			Hits:      layer.s.Hits,
-			Misses:    layer.s.Misses,
-			Evictions: layer.s.Evictions,
-		})
-	}
 }
 
 // parseResult caches a parse outcome; parse errors are cached too, so a
@@ -434,10 +378,10 @@ func (r Result) Passed() bool {
 // own Simulator and its own seed, so the output slice is bit-identical to
 // running the same jobs serially in a loop — scheduling affects only
 // wall-clock time. Shared substructure (a bench reused across candidates,
-// duplicate candidate sources) is served from the farm's caches; there is
-// no in-flight coalescing, so duplicates that land on workers in the same
-// scheduling window may each recompute before the first result is cached —
-// a wasted-work worst case, never a correctness one.
+// duplicate candidate sources) is served from the farm's caches, and the
+// design, result and lint layers coalesce in-flight misses (singleflight):
+// duplicates that land on workers in the same scheduling window wait for
+// one computation instead of repeating it.
 func (f *Farm) RunMany(jobs []Job, workers int) []Result {
 	results, _ := f.RunManyCtx(context.Background(), jobs, workers)
 	return results

@@ -7,7 +7,7 @@ import (
 
 // TestStatsConcurrentWithRunMany hammers Stats() from several goroutines
 // while RunMany drives a batch through every cache layer — the exact load
-// shape of the edaserver /v1/stats handler polling the shared farm under
+// shape of edaserver /v1/metrics scrapes polling the shared farm under
 // traffic. The race detector (make test-race covers this package) is the
 // real assertion; the monotonicity checks pin that lock-free snapshots
 // still read sane counter values mid-flight.
