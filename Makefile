@@ -45,10 +45,11 @@ test-short:
 # body memo and compiled designs are shared across concurrent runs), the
 # cross-level debugger (its cosimulation fan-out runs on the farm), and
 # the job service (queue shards, SSE broadcasters and the report store
-# all cross goroutines), and the lint layer (its memo is shared by every
-# screened farm job).
+# all cross goroutines), the lint layer (its memo is shared by every
+# screened farm job), and the benchmark suite (its problems are built
+# once and shared by every job).
 test-race:
-	$(GO) test -race -short ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls
+	$(GO) test -race -short ./internal/benchset ./eda ./eda/client ./internal/edaserver ./internal/faultinject ./internal/obs ./internal/verilog ./internal/simfarm ./internal/vlint ./internal/lintrepair ./internal/vrank ./internal/autochip ./internal/crosscheck ./internal/xdebug ./internal/gp ./internal/slt ./internal/hls
 
 # perfbench/ is its own Go module (it imports eda, eda/client and
 # edaserver through a replace directive), so the root `go build ./...`

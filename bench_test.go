@@ -105,7 +105,7 @@ func vrankWorkload() (problems []*benchset.Problem, cands [][][]string) {
 				resp, err := model.Generate(llm.Request{
 					System:      llm.SystemVerilogDesigner,
 					Prompt:      llm.BuildDesignPrompt(p.Spec),
-					Task:        llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty},
+					Task:        llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty()},
 					Temperature: 0.9,
 				})
 				if err != nil {
@@ -129,7 +129,7 @@ func BenchmarkVRankSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for pi, p := range problems {
-			sb := vrank.StimulusBench(p.Testbench())
+			sb := p.StimulusBench()
 			for _, batch := range cands[pi] {
 				var sigs []string
 				for _, src := range batch {

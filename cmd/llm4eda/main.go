@@ -312,7 +312,7 @@ func cmdList() error {
 	}
 	fmt.Println("\nbenchmark problems (VerilogEval-style suite):")
 	for _, p := range benchset.Suite() {
-		fmt.Printf("  %-12s d%d checks=%-4d %s\n", p.ID, p.Difficulty, p.Checks(), firstSentence(p.Spec))
+		fmt.Printf("  %-12s d%d checks=%-4d %s\n", p.ID, p.Difficulty(), p.Checks(), firstSentence(p.Spec))
 	}
 	fmt.Println("\nrepair kernels (Fig. 2 suite):")
 	for _, k := range repair.BenchKernels() {

@@ -404,7 +404,7 @@ func xdebugCandidate(p *benchset.Problem, model llm.Model, seed uint64, mutant i
 		System: llm.SystemVerilogDesigner,
 		Prompt: llm.BuildDesignPrompt(p.Spec),
 		Task: llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec,
-			Reference: p.Reference, Difficulty: p.Difficulty},
+			Reference: p.Reference, Difficulty: p.Difficulty()},
 	})
 	if err != nil {
 		return p.Reference, 0
@@ -503,7 +503,7 @@ func lintCandidate(p *benchset.Problem, model llm.Model, seed uint64, mutant int
 		System: llm.SystemVerilogDesigner,
 		Prompt: llm.BuildDesignPrompt(p.Spec),
 		Task: llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec,
-			Reference: p.Reference, Difficulty: p.Difficulty},
+			Reference: p.Reference, Difficulty: p.Difficulty()},
 	})
 	if err != nil {
 		return p.Reference, ""

@@ -78,7 +78,7 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 
 	// Stage 1: specification (already given; the agent restates scope).
 	stage(core.StageSpecification, "specification optimization",
-		fmt.Sprintf("spec for %q (difficulty %d)", p.ID, p.Difficulty), true)
+		fmt.Sprintf("spec for %q (difficulty %d)", p.ID, p.Difficulty()), true)
 
 	// Stage 2: HDL generation with EDA feedback (AutoChip engine).
 	genRes, err := autochip.Run(ctx, p, autochip.Options{
@@ -102,7 +102,7 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 			Prompt: llm.BuildTestbenchPrompt(p.Spec, design),
 			Task: llm.TestbenchGen{
 				ProblemID: p.ID, Spec: p.Spec,
-				Header: p.TBHeader, VectorBlocks: p.TBBlocks, Footer: p.TBFooter,
+				Header: p.TBHeader, VectorBlocks: p.TBBlocks(), Footer: p.TBFooter,
 			},
 		})
 		if err == nil {
@@ -136,7 +136,7 @@ func (a *Agent) RunProblem(ctx context.Context, p *benchset.Problem) (*core.Repo
 			Prompt: llm.BuildFeedbackPrompt(p.Spec, design, fixed.Feedback),
 			Task: llm.VerilogGen{
 				ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference,
-				Difficulty: p.Difficulty, PrevAttempt: design, Feedback: fixed.Feedback,
+				Difficulty: p.Difficulty(), PrevAttempt: design, Feedback: fixed.Feedback,
 			},
 		})
 		if err == nil {

@@ -187,7 +187,7 @@ func Run(ctx context.Context, p *benchset.Problem, opts Options) (*Result, error
 		sources := make([]string, 0, opts.K)
 		for k := 0; k < opts.K; k++ {
 			task := llm.VerilogGen{
-				ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty,
+				ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty(),
 			}
 			prompt := llm.BuildDesignPrompt(p.Spec)
 			if prev != nil {
@@ -288,7 +288,7 @@ func StructuredFlow(ctx context.Context, p *benchset.Problem, model llm.Model, m
 		Prompt: llm.BuildTestbenchPrompt(p.Spec, ""),
 		Task: llm.TestbenchGen{
 			ProblemID: p.ID, Spec: p.Spec,
-			Header: p.TBHeader, VectorBlocks: p.TBBlocks, Footer: p.TBFooter,
+			Header: p.TBHeader, VectorBlocks: p.TBBlocks(), Footer: p.TBFooter,
 		},
 	})
 	if err != nil {
@@ -327,7 +327,7 @@ func StructuredFlow(ctx context.Context, p *benchset.Problem, model llm.Model, m
 			return out, err
 		}
 		out.Rounds = round + 1
-		task := llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty}
+		task := llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty()}
 		if prev != nil {
 			task.PrevAttempt = prev.Source
 			task.Feedback = prev.Feedback

@@ -70,7 +70,7 @@ func TestFeedbackHelpsFrontierMoreThanSmall(t *testing.T) {
 		solved := 0
 		total := 0
 		for _, p := range benchset.Suite() {
-			if p.Difficulty < 3 {
+			if p.Difficulty() < 3 {
 				continue // feedback dynamics show on the harder problems
 			}
 			for s := 0; s < seeds; s++ {

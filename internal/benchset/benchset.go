@@ -12,6 +12,8 @@ package benchset
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -25,19 +27,25 @@ type Port struct {
 }
 
 // Problem is one benchmark entry.
+//
+// Suite problems are built once per process and shared by every caller
+// of ByID and EightDesignSet, across goroutines. They are read-only by
+// construction: the exported string fields are immutable values, and the
+// difficulty, the testbench blocks and the alignment table sit behind
+// accessors that return copies. Ports is the one exported slice (the
+// benchmark module reads it as a field); Suite hands every caller its
+// own copy of it, and nothing in the repo writes to it.
 type Problem struct {
-	ID         string
-	Spec       string
-	Difficulty int // 1..5
-	TopModule  string
+	ID        string
+	Spec      string
+	TopModule string
 	// Reference is the hidden ground-truth implementation (the simulated
 	// LLM's latent knowledge).
 	Reference string
-	// Testbench pieces: Header + Blocks + Footer concatenate into the
-	// full self-checking bench with top module "tb". The split exists so
-	// the testbench-generation task can model coverage loss.
+	// Testbench pieces: TBHeader + TBBlocks() + TBFooter concatenate into
+	// the full self-checking bench with top module "tb". The split exists
+	// so the testbench-generation task can model coverage loss.
 	TBHeader string
-	TBBlocks []string
 	TBFooter string
 	// Ports lists the DUT interface for combinational problems (empty for
 	// sequential ones); the cross-level checker drives stimuli through it.
@@ -46,40 +54,53 @@ type Problem struct {
 	// output port, named like the port) used by the high-level-guided
 	// debugging extension; empty when not provided.
 	CModel string
-	// XAlign maps extra C model functions to RTL signal names inside the
-	// DUT (relative to the instance) for cross-level trace alignment:
-	// name matching covers the output ports automatically, and this
-	// per-problem override table extends the alignment to internal
-	// signals the C model also exposes (e.g. satadd8's 9-bit "full"
-	// intermediate). Nil when port-name matching is sufficient.
-	XAlign map[string]string
 
-	// tb memoizes the concatenated testbench: every framework scores
-	// whole candidate batches against it, and rebuilding the multi-KB
-	// source per score was a measurable allocation cost. The pieces
-	// above are treated as immutable after construction.
-	tbOnce sync.Once
-	tb     string
+	difficulty int
+	tbBlocks   []string
+	xAlign     map[string]string
+	// tb and stimulus are derived once, when the problem is built: every
+	// framework scores whole candidate batches against them.
+	tb       string
+	stimulus string
 }
+
+// NewProblem builds a problem outside the suite from its bench pieces,
+// for callers that bring their own bench. It is finished like a suite
+// problem: the blocks are copied and both benches are built here.
+func NewProblem(id, top, tbHeader string, tbBlocks []string, tbFooter string) *Problem {
+	p := &Problem{ID: id, TopModule: top, TBHeader: tbHeader,
+		tbBlocks: slices.Clone(tbBlocks), TBFooter: tbFooter}
+	p.finish()
+	return p
+}
+
+// finish derives the full and the stimulus testbench from the pieces.
+func (p *Problem) finish() {
+	p.tb = p.TBHeader + strings.Join(p.tbBlocks, "") + p.TBFooter
+	p.stimulus = strings.ReplaceAll(p.tb, "$check_eq(", `$display("SIG %b %b", `)
+}
+
+// Difficulty is the problem's difficulty, 1..5.
+func (p *Problem) Difficulty() int { return p.difficulty }
+
+// TBBlocks returns a copy of the testbench's stimulus/check blocks.
+func (p *Problem) TBBlocks() []string { return slices.Clone(p.tbBlocks) }
+
+// XAlign returns a copy of the cross-level alignment table: extra C
+// model functions mapped to RTL signal names inside the DUT (relative to
+// the instance). Name matching covers the output ports automatically;
+// this per-problem table extends the alignment to internal signals the C
+// model also exposes (e.g. satadd8's 9-bit "full" intermediate). Nil
+// when port-name matching is sufficient.
+func (p *Problem) XAlign() map[string]string { return maps.Clone(p.xAlign) }
 
 // Testbench returns the full reference testbench.
-func (p *Problem) Testbench() string {
-	p.tbOnce.Do(func() {
-		var b strings.Builder
-		n := len(p.TBHeader) + len(p.TBFooter)
-		for _, blk := range p.TBBlocks {
-			n += len(blk)
-		}
-		b.Grow(n)
-		b.WriteString(p.TBHeader)
-		for _, blk := range p.TBBlocks {
-			b.WriteString(blk)
-		}
-		b.WriteString(p.TBFooter)
-		p.tb = b.String()
-	})
-	return p.tb
-}
+func (p *Problem) Testbench() string { return p.tb }
+
+// StimulusBench returns the oracle-free rewrite of the testbench: every
+// $check_eq(actual, expected) becomes a $display of both values, so a
+// run prints what the bench would have checked instead of judging it.
+func (p *Problem) StimulusBench() string { return p.stimulus }
 
 // Checks returns the number of $check_eq checks in the full testbench.
 func (p *Problem) Checks() int {
@@ -130,9 +151,9 @@ func combProblem(id, spec string, difficulty int, top, reference string,
 
 	footer := "    $finish;\n  end\nendmodule\n"
 	return &Problem{
-		ID: id, Spec: spec, Difficulty: difficulty, TopModule: top,
+		ID: id, Spec: spec, difficulty: difficulty, TopModule: top,
 		Reference: reference,
-		TBHeader:  header.String(), TBBlocks: blocks, TBFooter: footer,
+		TBHeader:  header.String(), tbBlocks: blocks, TBFooter: footer,
 		Ports: ports,
 	}
 }
@@ -183,22 +204,42 @@ func sweep1(name string, n uint64) []map[string]uint64 {
 	return out
 }
 
-// Suite returns the full benchmark suite, ordered by ID.
-func Suite() []*Problem {
-	var ps []*Problem
-	ps = append(ps, combSuite()...)
-	ps = append(ps, seqSuite()...)
-	return attachCModels(ps)
+// index is the built suite: the problems in ID order and an id index
+// over them.
+type index struct {
+	list []*Problem
+	byID map[string]*Problem
 }
 
-// ByID returns the named problem, or nil.
-func ByID(id string) *Problem {
-	for _, p := range Suite() {
-		if p.ID == id {
-			return p
-		}
+// suite is the process-wide benchmark suite, built once on first use.
+var suite = sync.OnceValue(func() (ix index) {
+	ix.list = append(combSuite(), seqSuite()...)
+	ix.byID = make(map[string]*Problem, len(ix.list))
+	for _, p := range ix.list {
+		p.CModel = cModels[p.ID]
+		p.xAlign = xAligns[p.ID]
+		p.finish()
+		ix.byID[p.ID] = p
 	}
-	return nil
+	return ix
+})
+
+// Suite returns the full benchmark suite, ordered by ID. The slice and
+// the problems in it are copies the caller owns.
+func Suite() []*Problem {
+	out := make([]*Problem, len(suite().list))
+	for i, p := range suite().list {
+		c := *p
+		c.Ports = slices.Clone(p.Ports)
+		out[i] = &c
+	}
+	return out
+}
+
+// ByID returns the named shared suite problem, or nil. It allocates
+// nothing: every spec check and pipeline resolves its problem here.
+func ByID(id string) *Problem {
+	return suite().byID[id]
 }
 
 // EightDesignSet returns the 8-problem subset mirroring the benchmark set

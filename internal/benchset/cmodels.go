@@ -93,17 +93,3 @@ var xAligns = map[string]map[string]string{
 	"barrel8": {"s1": "s1", "s2": "s2"},
 	"satadd8": {"full": "full"},
 }
-
-// attachCModels wires the C models onto the suite (called from combSuite
-// consumers via Suite()).
-func attachCModels(ps []*Problem) []*Problem {
-	for _, p := range ps {
-		if m, ok := cModels[p.ID]; ok {
-			p.CModel = m
-		}
-		if a, ok := xAligns[p.ID]; ok {
-			p.XAlign = a
-		}
-	}
-	return ps
-}

@@ -10,7 +10,7 @@ func seqSuite() []*Problem {
 	ps = append(ps, &Problem{
 		ID:         "dff",
 		Spec:       "A D flip-flop with synchronous active-high reset: on each rising clock edge q becomes 0 if rst is 1, otherwise q becomes d.",
-		Difficulty: 1,
+		difficulty: 1,
 		TopModule:  "dff",
 		Reference: `module dff(input clk, input rst, input d, output reg q);
   always @(posedge clk) begin
@@ -28,7 +28,7 @@ endmodule
     clk = 0; rst = 1; d = 0;
     @(negedge clk);
 `,
-		TBBlocks: []string{
+		tbBlocks: []string{
 			"    rst = 1; d = 1; @(negedge clk);\n    $check_eq(q, 1'b0);\n",
 			"    rst = 0; d = 1; @(negedge clk);\n    $check_eq(q, 1'b1);\n",
 			"    d = 0; @(negedge clk);\n    $check_eq(q, 1'b0);\n",
@@ -44,7 +44,7 @@ endmodule
 	ps = append(ps, &Problem{
 		ID:         "counter8",
 		Spec:       "An 8-bit up counter with synchronous reset and enable: on each rising clock edge, reset clears q to 0; otherwise q increments by 1 when en is 1 and holds when en is 0.",
-		Difficulty: 2,
+		difficulty: 2,
 		TopModule:  "counter8",
 		Reference: `module counter8(input clk, input rst, input en, output reg [7:0] q);
   always @(posedge clk) begin
@@ -63,7 +63,7 @@ endmodule
     clk = 0; rst = 1; en = 0;
     @(negedge clk);
 `,
-		TBBlocks: []string{
+		tbBlocks: []string{
 			"    $check_eq(q, 8'd0);\n    rst = 0; en = 1;\n",
 			"    for (i = 0; i < 5; i = i + 1) @(negedge clk);\n    $check_eq(q, 8'd5);\n",
 			"    en = 0; @(negedge clk); @(negedge clk);\n    $check_eq(q, 8'd5);\n",
@@ -77,7 +77,7 @@ endmodule
 	ps = append(ps, &Problem{
 		ID:         "shift4",
 		Spec:       "A 4-bit serial-in shift register: on each rising clock edge, the register shifts left by one and din enters as the least-significant bit.",
-		Difficulty: 2,
+		difficulty: 2,
 		TopModule:  "shift4",
 		Reference: `module shift4(input clk, input din, output reg [3:0] q);
   always @(posedge clk) begin
@@ -96,7 +96,7 @@ endmodule
     @(negedge clk); @(negedge clk);
     $check_eq(q, 4'b0000);
 `,
-		TBBlocks: []string{
+		tbBlocks: []string{
 			"    din = 1; @(negedge clk);\n    $check_eq(q[0], 1'b1);\n",
 			"    din = 0; @(negedge clk);\n    $check_eq(q[1:0], 2'b10);\n",
 			"    din = 1; @(negedge clk);\n    $check_eq(q[2:0], 3'b101);\n",
@@ -110,7 +110,7 @@ endmodule
 	ps = append(ps, &Problem{
 		ID:         "updown4",
 		Spec:       "A 4-bit up/down counter with synchronous reset: on each rising clock edge, reset clears q; otherwise q increments when up is 1 and decrements when up is 0, wrapping modulo 16.",
-		Difficulty: 3,
+		difficulty: 3,
 		TopModule:  "updown4",
 		Reference: `module updown4(input clk, input rst, input up, output reg [3:0] q);
   always @(posedge clk) begin
@@ -131,7 +131,7 @@ endmodule
     @(negedge clk);
     rst = 0;
 `,
-		TBBlocks: []string{
+		tbBlocks: []string{
 			"    for (i = 0; i < 6; i = i + 1) @(negedge clk);\n    $check_eq(q, 4'd6);\n",
 			"    up = 0; for (i = 0; i < 2; i = i + 1) @(negedge clk);\n    $check_eq(q, 4'd4);\n",
 			"    for (i = 0; i < 5; i = i + 1) @(negedge clk);\n    $check_eq(q, 4'd15);\n",
@@ -145,7 +145,7 @@ endmodule
 	ps = append(ps, &Problem{
 		ID:         "det101",
 		Spec:       "A Moore FSM that detects the overlapping pattern 101 on serial input din: found pulses high for one cycle after the final 1 of each occurrence. Synchronous active-high reset.",
-		Difficulty: 5,
+		difficulty: 5,
 		TopModule:  "det101",
 		Reference: `module det101(input clk, input rst, input din, output reg found);
   reg [1:0] st;
@@ -183,7 +183,7 @@ endmodule
     @(negedge clk);
     rst = 0;
 `,
-		TBBlocks: []string{
+		tbBlocks: []string{
 			// Pattern 1 0 1 -> found pulses during the cycle after the final 1.
 			"    din = 1; @(negedge clk); din = 0; @(negedge clk); din = 1; @(negedge clk);\n    $check_eq(found, 1'b1);\n",
 			// Overlap: continue 0 1 -> second hit (1 0 1|0 1 -> 101 at 2-4).
@@ -201,7 +201,7 @@ endmodule
 	ps = append(ps, &Problem{
 		ID:         "lfsr8",
 		Spec:       "An 8-bit Fibonacci LFSR with taps at bits 7, 5, 4 and 3 (polynomial x^8 + x^6 + x^5 + x^4 + 1): on each rising clock edge the register shifts left and the feedback bit (XOR of the taps) enters at bit 0. Synchronous reset loads 8'h01.",
-		Difficulty: 4,
+		difficulty: 4,
 		TopModule:  "lfsr8",
 		Reference: `module lfsr8(input clk, input rst, output reg [7:0] q);
   wire fb;
@@ -225,7 +225,7 @@ endmodule
     @(negedge clk);
     rst = 0; model = 8'h01;
 `,
-		TBBlocks: []string{
+		tbBlocks: []string{
 			"    for (i = 0; i < 8; i = i + 1) begin\n      fb = model[7] ^ model[5] ^ model[4] ^ model[3];\n      model = {model[6:0], fb};\n      @(negedge clk);\n      $check_eq(q, model);\n    end\n",
 			"    for (i = 0; i < 16; i = i + 1) begin\n      fb = model[7] ^ model[5] ^ model[4] ^ model[3];\n      model = {model[6:0], fb};\n      @(negedge clk);\n      $check_eq(q, model);\n    end\n",
 			"    rst = 1; @(negedge clk);\n    $check_eq(q, 8'h01);\n    rst = 0; model = 8'h01;\n",
@@ -237,7 +237,7 @@ endmodule
 	ps = append(ps, &Problem{
 		ID:         "edgedet",
 		Spec:       "A rising-edge detector: pulse is high for exactly one clock cycle after the input sig transitions from 0 to 1. Synchronous active-high reset clears internal state.",
-		Difficulty: 3,
+		difficulty: 3,
 		TopModule:  "edgedet",
 		Reference: `module edgedet(input clk, input rst, input sig, output pulse);
   reg prev;
@@ -258,7 +258,7 @@ endmodule
     @(negedge clk);
     rst = 0;
 `,
-		TBBlocks: []string{
+		tbBlocks: []string{
 			"    $check_eq(pulse, 1'b0);\n    sig = 1;\n    #1;\n    $check_eq(pulse, 1'b1);\n",
 			"    @(negedge clk);\n    $check_eq(pulse, 1'b0);\n",
 			"    @(negedge clk);\n    $check_eq(pulse, 1'b0);\n    sig = 0; @(negedge clk);\n    $check_eq(pulse, 1'b0);\n",
@@ -270,7 +270,7 @@ endmodule
 	ps = append(ps, &Problem{
 		ID:         "pwm4",
 		Spec:       "A 4-bit PWM generator: a free-running 4-bit counter increments each rising clock edge (synchronous reset clears it); output out is 1 while the counter value is strictly less than the duty input.",
-		Difficulty: 4,
+		difficulty: 4,
 		TopModule:  "pwm4",
 		Reference: `module pwm4(input clk, input rst, input [3:0] duty, output out);
   reg [3:0] cnt;
@@ -293,7 +293,7 @@ endmodule
     @(negedge clk);
     rst = 0;
 `,
-		TBBlocks: []string{
+		tbBlocks: []string{
 			// duty=4: out high for counts 0..3 of each 16-cycle period.
 			"    highs = 0;\n    for (i = 0; i < 16; i = i + 1) begin\n      if (out) highs = highs + 1;\n      @(negedge clk);\n    end\n    $check_eq(highs, 4);\n",
 			"    duty = 4'd12; highs = 0;\n    for (i = 0; i < 16; i = i + 1) begin\n      if (out) highs = highs + 1;\n      @(negedge clk);\n    end\n    $check_eq(highs, 12);\n",

@@ -103,7 +103,7 @@ func TestDebugLoopWithoutTestbench(t *testing.T) {
 	solvedViaCrossCheck := false
 	for attempt := 0; attempt < 20 && !solvedViaCrossCheck; attempt++ {
 		resp, err := model.Generate(llm.Request{
-			Task:        llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty},
+			Task:        llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty()},
 			Temperature: 1.1,
 		})
 		if err != nil {
@@ -126,7 +126,7 @@ func TestDebugLoopWithoutTestbench(t *testing.T) {
 		}
 		fixed, err := model.Generate(llm.Request{
 			Task: llm.VerilogGen{
-				ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty,
+				ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty(),
 				PrevAttempt: resp.Text, Feedback: fb.String(),
 			},
 		})

@@ -60,9 +60,6 @@ type Options struct {
 	QueueDepth int
 	// ReportCap bounds the content-addressed report store (default 256).
 	ReportCap int
-	// JobCap bounds the job table; the oldest finished jobs are evicted
-	// past it (default 4096). Evicted job ids answer 404.
-	JobCap int
 	// EventHistory bounds each job's event replay ring (default 4096);
 	// an SSE subscriber arriving late replays at most this many events.
 	EventHistory int
@@ -102,9 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReportCap <= 0 {
 		o.ReportCap = 256
-	}
-	if o.JobCap <= 0 {
-		o.JobCap = 4096
 	}
 	if o.EventHistory <= 0 {
 		o.EventHistory = 4096
@@ -149,10 +143,15 @@ type Server struct {
 	queued atomic.Int64
 
 	// mu guards the job table. Lock ordering: mu before job.mu.
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string // submission order, for finished-job eviction
-	seq   uint64
+	mu   sync.Mutex
+	jobs map[string]*job
+	seq  uint64
+	// retired lists finished jobs in the order they finished, with the
+	// bytes each retains; retiredBytes is their sum. Past jobBudget the
+	// oldest are evicted from the table (their ids then answer 404).
+	// Live jobs are never on the list, so never evicted.
+	retired      []retiredJob
+	retiredBytes int64
 
 	store *reportStore
 
@@ -328,7 +327,7 @@ func (s *Server) runJob(jb *job) {
 		s.jobFinished(jb, stateCancelled, false)
 		jb.events.Emit(eda.Event{Kind: eda.EventNote, Framework: jb.spec.Framework,
 			Detail: "job cancelled: server shutting down"})
-		jb.events.close()
+		s.retire(jb)
 		return
 	}
 	// Pop-time dedup: an identical job queued ahead of us (same content
@@ -419,7 +418,7 @@ func (s *Server) runJob(jb *job) {
 		s.failed.Add(1)
 		s.jobFinished(jb, stateFailed, false)
 	}
-	jb.events.close()
+	s.retire(jb)
 }
 
 // runPipeline executes the job's spec with panic isolation: a panic
@@ -557,11 +556,10 @@ func (s *Server) completeFromCache(jb *job, e *reportEntry) {
 		Detail: "report served from the cross-request report cache"})
 	jb.events.Emit(eda.Event{Kind: eda.EventRunEnd, Framework: jb.spec.Framework,
 		OK: e.ok, Detail: e.summary})
-	jb.events.close()
+	s.retire(jb)
 }
 
-// newJob registers a fresh queued job, evicting the oldest finished jobs
-// past JobCap.
+// newJob registers a fresh queued job.
 func (s *Server) newJob(spec eda.Spec, key string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -576,37 +574,48 @@ func (s *Server) newJob(spec eda.Spec, key string) *job {
 		spans:   obs.NewSpans(obs.JobPhases()...),
 	}
 	s.jobs[jb.id] = jb
-	s.order = append(s.order, jb.id)
-	if len(s.jobs) > s.opts.JobCap {
-		kept := s.order[:0]
-		for _, id := range s.order {
-			old := s.jobs[id]
-			if old == nil {
-				continue // unregistered (rejected submission): drop the stale id
-			}
-			if len(s.jobs) > s.opts.JobCap && old.terminal() {
-				delete(s.jobs, id)
-				continue
-			}
-			kept = append(kept, id)
-		}
-		s.order = kept
-	}
 	return jb
 }
 
-// unregister drops a job that never made it onto the queue. Rejected
-// submissions are the most recent registrations, so the backward scan
-// of the order slice finds them in O(1) typically.
+// unregister drops a job that never made it onto the queue.
 func (s *Server) unregister(jb *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, jb.id)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == jb.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
+}
+
+// jobBudget bounds the bytes the job table retains for finished jobs:
+// report bytes, replay-ring events and a fixed per-job overhead. A
+// finished job weighs a few KB (about 5 KB averaged over the
+// agent/autochip/lint/vrank mix), so the table keeps the last few
+// hundred finished jobs: seconds of history at full throughput, where
+// clients read a job within one 50 ms poll or hold its SSE stream.
+const jobBudget = 2 << 20
+
+// retiredJob is one finished job on the retention list.
+type retiredJob struct {
+	id    string
+	bytes int64
+}
+
+// retire closes a terminal job's event stream and appends the job to the
+// retention list, then evicts the oldest finished jobs while the list is
+// over budget, always keeping the job just retired. Each job retires
+// exactly once, on its terminal path; eviction pops from the front, so
+// it is amortized O(1) per job.
+func (s *Server) retire(jb *job) {
+	jb.events.close()
+	n := jb.retainedBytes()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.retired = append(s.retired, retiredJob{id: jb.id, bytes: n})
+	s.retiredBytes += n
+	for s.retiredBytes > jobBudget && len(s.retired) > 1 {
+		old := s.retired[0]
+		s.retired[0] = retiredJob{} // release the id before reslicing
+		s.retired = s.retired[1:]
+		s.retiredBytes -= old.bytes
+		delete(s.jobs, old.id)
 	}
 }
 

@@ -169,7 +169,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.jobFinished(jb, stateCancelled, false)
 		jb.events.Emit(eda.Event{Kind: eda.EventNote, Framework: jb.spec.Framework,
 			Detail: "job cancelled before start"})
-		jb.events.close()
+		s.retire(jb)
 	case stateRunning:
 		jb.userCancel = true // so a racing watchdog cannot re-label this
 		cancel := jb.cancel

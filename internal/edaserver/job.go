@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"llm4eda/eda"
 	"llm4eda/internal/obs"
@@ -70,15 +71,17 @@ func (jb *job) finishLocked(state string, reportJSON []byte, cached bool, errDet
 	jb.cancel = nil
 }
 
-// terminal reports whether the job has reached a final state.
-func (jb *job) terminal() bool {
+// jobOverhead is the fixed part of a finished job's retained bytes: the
+// job and span structs, the table entry and the trimmed ring's header.
+const jobOverhead = 1 << 10
+
+// retainedBytes is what a finished job costs the job table: its report
+// bytes, its replay ring and jobOverhead.
+func (jb *job) retainedBytes() int64 {
 	jb.mu.Lock()
-	defer jb.mu.Unlock()
-	switch jb.state {
-	case stateDone, stateFailed, stateCancelled:
-		return true
-	}
-	return false
+	n := int64(len(jb.reportJSON))
+	jb.mu.Unlock()
+	return n + jb.events.retainedBytes() + jobOverhead
 }
 
 // shardOf maps a content key onto a queue shard. Same key, same shard:
@@ -188,6 +191,18 @@ func (b *broadcaster) copyOut(size int) []numbered {
 		out[i] = b.ring[(b.start+i)%len(b.ring)]
 	}
 	return out
+}
+
+// retainedBytes is the replay ring's size: one slot per retained event
+// plus each event's detail text (the other strings are shared names).
+func (b *broadcaster) retainedBytes() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := int64(len(b.ring)) * int64(unsafe.Sizeof(numbered{}))
+	for i := 0; i < b.n; i++ {
+		n += int64(len(b.ring[(b.start+i)%len(b.ring)].ev.Detail))
+	}
+	return n
 }
 
 // droppedCount reports how many events the ring has evicted: every

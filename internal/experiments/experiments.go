@@ -228,7 +228,7 @@ func (r Runner) E4Fig4AutoChip(ctx context.Context) *core.Experiment {
 	seeds := r.pick(1, 3)
 	var problems []*benchset.Problem
 	for _, p := range benchset.Suite() {
-		if p.Difficulty >= 3 {
+		if p.Difficulty() >= 3 {
 			problems = append(problems, p)
 		}
 	}
@@ -648,7 +648,7 @@ func (r Runner) E12LintScreening(ctx context.Context) *core.Experiment {
 	limit := r.pick(8, len(suite))
 	arm := func(screen bool) (converged, attempted, rounds int, rejects int64, computes uint64, failed bool) {
 		model := llm.NewSimModel(llm.TierFrontier, r.Seed+89)
-		farm := simfarm.New(simfarm.Options{})
+		farm := simfarm.New()
 		for _, p := range suite {
 			if attempted >= limit || ctx.Err() != nil {
 				break

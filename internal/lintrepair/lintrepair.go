@@ -155,7 +155,7 @@ func Run(ctx context.Context, p *benchset.Problem, candidate string, opts Option
 				Prompt: prompt,
 				Task: llm.VerilogGen{
 					ProblemID: p.ID, Spec: p.Spec,
-					Reference: p.Reference, Difficulty: p.Difficulty,
+					Reference: p.Reference, Difficulty: p.Difficulty(),
 					PrevAttempt: candidate, Feedback: feedback,
 				},
 				Temperature: opts.Temperature,

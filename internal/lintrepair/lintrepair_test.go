@@ -32,7 +32,7 @@ func TestRepairLoopConverges(t *testing.T) {
 	if m == nil {
 		t.Fatal("alu8 reference admits no error-class lint mutant")
 	}
-	farm := simfarm.New(simfarm.Options{})
+	farm := simfarm.New()
 	res, err := Run(context.Background(), p, m.Source, Options{
 		Model:  llm.NewSimModel(llm.TierFrontier, 7),
 		Rounds: 8,
@@ -73,7 +73,7 @@ func TestScreeningSavesComputes(t *testing.T) {
 		t.Fatal("no error-class mutant")
 	}
 	costOf := func(screen bool) uint64 {
-		farm := simfarm.New(simfarm.Options{})
+		farm := simfarm.New()
 		if _, err := Run(context.Background(), p, m.Source, Options{
 			Screen: screen,
 			Farm:   farm,
@@ -98,7 +98,7 @@ func TestLintFeedbackRouting(t *testing.T) {
 	p := benchset.ByID("and4")
 	src := "module and4(input [3:0] a, output y);\n" +
 		"  assign y = &a;\n  assign y = 1'b0;\nendmodule\n"
-	farm := simfarm.New(simfarm.Options{})
+	farm := simfarm.New()
 	res, err := Run(context.Background(), p, src, Options{Screen: true, Farm: farm})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestLintFeedbackRouting(t *testing.T) {
 // with zero lint rejects — screening must be invisible to good RTL.
 func TestCleanCandidatePasses(t *testing.T) {
 	p := benchset.ByID("and4")
-	farm := simfarm.New(simfarm.Options{})
+	farm := simfarm.New()
 	res, err := Run(context.Background(), p, p.Reference, Options{Screen: true, Farm: farm})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func TestDeterminism(t *testing.T) {
 		resp, err := m.Generate(Request{
 			Prompt: BuildDesignPrompt(p.Spec),
 			Task: VerilogGen{
-				ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty,
+				ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty(),
 			},
 			Temperature: 0.7,
 		})
@@ -39,7 +39,7 @@ func TestTierQualityOrdering(t *testing.T) {
 		const n = 40
 		for i := 0; i < n; i++ {
 			resp, err := m.Generate(Request{
-				Task: VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty},
+				Task: VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty()},
 			})
 			if err != nil {
 				t.Fatalf("Generate: %v", err)
@@ -69,7 +69,7 @@ func TestFeedbackRepairImprovesFrontierMost(t *testing.T) {
 		trials := 0
 		for i := 0; i < 60; i++ {
 			resp, _ := m.Generate(Request{
-				Task:        VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty},
+				Task:        VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty()},
 				Temperature: 1.0,
 			})
 			res, err := verilog.RunTestbench(resp.Text, p.Testbench(), "tb", verilog.SimOptions{})
@@ -87,7 +87,7 @@ func TestFeedbackRepairImprovesFrontierMost(t *testing.T) {
 			trials++
 			fixed, _ := m.Generate(Request{
 				Task: VerilogGen{
-					ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty,
+					ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty(),
 					PrevAttempt: resp.Text, Feedback: feedback,
 				},
 			})
@@ -113,7 +113,7 @@ func TestTestbenchCoverageLoss(t *testing.T) {
 	m := NewSimModel(TierSmall, 5)
 	resp, err := m.Generate(Request{Task: TestbenchGen{
 		ProblemID: p.ID, Spec: p.Spec,
-		Header: p.TBHeader, VectorBlocks: p.TBBlocks, Footer: p.TBFooter,
+		Header: p.TBHeader, VectorBlocks: p.TBBlocks(), Footer: p.TBFooter,
 	}})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)

@@ -16,14 +16,23 @@ type Stats struct {
 	Len      int
 }
 
-// lru is a mutex-guarded, capacity-bounded LRU map. Values are immutable
-// artifacts (parsed files, compiled designs, simulation results), so a hit
-// hands back the shared pointer; eviction only drops the cache's own
-// reference. getOrCompute adds per-key in-flight deduplication
-// (singleflight): concurrent misses on the same key block on one leader's
-// computation instead of duplicating it — under RunMany with duplicate
-// candidates the seed design recomputed identical simulations whenever
-// duplicates landed in the same scheduling window.
+// lru is a mutex-guarded LRU map bounded by weight, not entry count.
+// Each entry weighs the bytes of text it stands for (the layer decides:
+// a parse weighs its source, a design the sum of its sources, a result
+// its printed output) plus entryOverhead, and the least recently used
+// entries are evicted while the total exceeds the budget. The newest
+// entry is always kept, even when it alone is over budget. Weighting by
+// source bytes is what bounds memory: a parsed and elaborated source
+// retains tens of times its own size, and one 1024-vector bench is
+// ~90 KB of source where a typical candidate is a few hundred bytes.
+// Values are immutable artifacts (parsed files, compiled designs,
+// simulation results), so a hit hands back the shared pointer; eviction
+// only drops the cache's own reference. getOrCompute adds per-key
+// in-flight deduplication (singleflight): concurrent misses on the same
+// key block on one leader's computation instead of duplicating it —
+// under RunMany with duplicate candidates the seed design recomputed
+// identical simulations whenever duplicates landed in the same
+// scheduling window.
 //
 // The traffic counters are atomics deliberately kept outside mu: snapshot
 // never takes the map lock, so an observability poller (the edaserver
@@ -32,10 +41,11 @@ type Stats struct {
 // cut across counters — hits observed mid-probe may be a step ahead of
 // len — which is fine for monitoring.
 type lru struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	ll  *list.List // front = most recently used
+	mu     sync.Mutex
+	budget int64 // bound on the summed entry weights
+	weight int64 // summed entry weights
+	m      map[string]*list.Element
+	ll     *list.List // front = most recently used
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -54,28 +64,31 @@ type flight struct {
 	ok   bool // val is valid; false when the leader panicked out of compute
 }
 
-// entry is one cached key/value pair.
+// entry is one cached key/value pair and its weight.
 type entry struct {
-	key string
-	val any
+	key    string
+	val    any
+	weight int64
 }
 
-func newLRU(capacity int) *lru {
-	if capacity <= 0 {
-		capacity = 1
-	}
+// entryOverhead is added to every entry's weight: the map slot, list
+// element and result structs an entry costs regardless of its size.
+const entryOverhead = 256
+
+func newLRU(budget int64) *lru {
 	return &lru{
-		cap:     capacity,
+		budget:  budget,
 		m:       make(map[string]*list.Element),
 		ll:      list.New(),
 		flights: make(map[string]*flight),
 	}
 }
 
-// getOrCompute returns the cached value for key, computing it on a miss.
-// Concurrent callers missing the same key are deduplicated: exactly one
-// runs compute, the rest wait and share the result.
-func (c *lru) getOrCompute(key string, compute func() any) any {
+// getOrCompute returns the cached value for key, computing it (and its
+// weight) on a miss. Concurrent callers missing the same key are
+// deduplicated: exactly one runs compute, the rest wait and share the
+// result.
+func (c *lru) getOrCompute(key string, compute func() (any, int)) any {
 	if v, ok := c.get(key); ok {
 		return v
 	}
@@ -109,8 +122,9 @@ func (c *lru) getOrCompute(key string, compute func() any) any {
 		// registration; serve its value rather than recomputing.
 		f.val = v
 	} else {
-		f.val = compute()
-		c.add(key, f.val)
+		var weight int
+		f.val, weight = compute()
+		c.add(key, f.val, weight)
 		c.computes.Add(1)
 	}
 	f.ok = true
@@ -142,22 +156,27 @@ func (c *lru) get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// add inserts (or refreshes) a value, evicting the least recently used
-// entry when the cache is over capacity.
-func (c *lru) add(key string, val any) {
+// add inserts (or refreshes) a value of the given weight, then evicts
+// least recently used entries while the cache is over budget, keeping
+// the one just added.
+func (c *lru) add(key string, val any, weight int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	w := int64(weight) + entryOverhead
 	if el, ok := c.m[key]; ok {
-		el.Value.(*entry).val = val
+		e := el.Value.(*entry)
+		c.weight += w - e.weight
+		e.val, e.weight = val, w
 		c.ll.MoveToFront(el)
-		return
+	} else {
+		c.m[key] = c.ll.PushFront(&entry{key: key, val: val, weight: w})
+		c.weight += w
+		c.length.Add(1)
 	}
-	c.m[key] = c.ll.PushFront(&entry{key: key, val: val})
-	c.length.Add(1)
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*entry).key)
+	for c.weight > c.budget && c.ll.Len() > 1 {
+		oldest := c.ll.Remove(c.ll.Back()).(*entry)
+		delete(c.m, oldest.key)
+		c.weight -= oldest.weight
 		c.evictions.Add(1)
 		c.length.Add(-1)
 	}
@@ -181,5 +200,6 @@ func (c *lru) purge() {
 	defer c.mu.Unlock()
 	c.m = make(map[string]*list.Element)
 	c.ll.Init()
+	c.weight = 0
 	c.length.Store(0)
 }

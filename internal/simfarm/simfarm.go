@@ -1,7 +1,8 @@
 // Package simfarm is the compile-once/run-many simulation engine behind
 // every candidate-scoring framework in the suite (AutoChip, VRank,
 // crosscheck, the agent, HLS cosim). It layers three content-addressed,
-// mutex-guarded LRU caches over the verilog front end —
+// mutex-guarded LRU caches, each bounded by the source bytes it holds,
+// over the verilog front end —
 //
 //	parse:   source text            -> parsed module list
 //	design:  (sources, top)         -> elaborated CompiledDesign
@@ -36,30 +37,13 @@ import (
 	"llm4eda/internal/vlint"
 )
 
-// Options bound the default cache capacities. Zero values select
-// defaults sized for the benchmark suites (hundreds of candidates ×
-// a handful of benches).
-type Options struct {
-	// ParseCap bounds cached parsed sources (default 512).
-	ParseCap int
-	// DesignCap bounds cached elaborated designs (default 512).
-	DesignCap int
-	// ResultCap bounds cached simulation results (default 2048).
-	ResultCap int
-}
-
-func (o Options) withDefaults() Options {
-	if o.ParseCap == 0 {
-		o.ParseCap = 512
-	}
-	if o.DesignCap == 0 {
-		o.DesignCap = 512
-	}
-	if o.ResultCap == 0 {
-		o.ResultCap = 2048
-	}
-	return o
-}
+// cacheBudget bounds each cache layer of a farm by the bytes of source
+// text its entries stand for (see lru): a layer evicts least recently
+// used entries past it. 2 MiB of source is hundreds of candidates
+// against the benchset's benches, or about 22 of the 1024-vector
+// crosscheck benches, each of which retains ~3 MB of heap once parsed
+// and elaborated.
+const cacheBudget = 2 << 20
 
 // Farm owns the cache hierarchy. A single Farm is safe for concurrent use
 // from any number of goroutines.
@@ -93,15 +77,19 @@ func (f *Farm) SetFaults(in *faultinject.Injector) {
 	f.faults.Store(in)
 }
 
-// New builds a farm with the given capacities.
-func New(opts Options) *Farm {
-	opts = opts.withDefaults()
+// New builds an empty farm whose cache layers each hold at most
+// cacheBudget bytes.
+func New() *Farm {
+	return newFarm(cacheBudget)
+}
+
+func newFarm(budget int64) *Farm {
 	return &Farm{
-		parses:  newLRU(opts.ParseCap),
-		designs: newLRU(opts.DesignCap),
-		results: newLRU(opts.ResultCap),
-		hashes:  newLRU(2 * opts.ParseCap),
-		lints:   newLRU(opts.ParseCap),
+		parses:  newLRU(budget),
+		designs: newLRU(budget),
+		results: newLRU(budget),
+		hashes:  newLRU(budget),
+		lints:   newLRU(budget),
 	}
 }
 
@@ -113,7 +101,7 @@ var (
 // Default returns the process-wide farm shared by every framework package
 // and by the legacy verilog.RunTestbench entry point.
 func Default() *Farm {
-	defaultFarmOnce.Do(func() { defaultFarm = New(Options{}) })
+	defaultFarmOnce.Do(func() { defaultFarm = New() })
 	return defaultFarm
 }
 
@@ -190,7 +178,7 @@ func (f *Farm) sourceHash(src string) string {
 		return v.(string)
 	}
 	h := verilog.HashSources("", src)
-	f.hashes.add(src, h)
+	f.hashes.add(src, h, len(src)+len(h))
 	return h
 }
 
@@ -202,7 +190,7 @@ func (f *Farm) Parse(src string) (*verilog.SourceFile, error) {
 		return pr.file, pr.err
 	}
 	file, err := verilog.Parse(src)
-	f.parses.add(key, &parseResult{file: file, err: err})
+	f.parses.add(key, &parseResult{file: file, err: err}, len(key)+len(src))
 	return file, err
 }
 
@@ -220,17 +208,19 @@ func (f *Farm) Compile(top string, srcs ...string) (*verilog.CompiledDesign, err
 		hs[i] = f.sourceHash(src)
 	}
 	key := verilog.HashSources(top, hs...)
-	dr := f.designs.getOrCompute(key, func() any {
+	dr := f.designs.getOrCompute(key, func() (any, int) {
+		weight := len(key)
 		files := make([]*verilog.SourceFile, len(srcs))
 		for i, src := range srcs {
+			weight += len(src)
 			file, err := f.Parse(src)
 			if err != nil {
-				return &designResult{err: err}
+				return &designResult{err: err}, weight
 			}
 			files[i] = file
 		}
 		cd, err := verilog.ElaborateParsed(top, key, verilog.MergeSources(files...))
-		return &designResult{cd: cd, err: err}
+		return &designResult{cd: cd, err: err}, weight
 	}).(*designResult)
 	return dr.cd, dr.err
 }
@@ -267,9 +257,13 @@ func resultKey(hash string, opts verilog.SimOptions) string {
 // treat them as read-only.
 func (f *Farm) Run(cd *verilog.CompiledDesign, opts verilog.SimOptions) (*verilog.SimResult, error) {
 	key := resultKey(cd.Hash, opts)
-	sr := f.results.getOrCompute(key, func() any {
+	sr := f.results.getOrCompute(key, func() (any, int) {
 		res, err := cd.Run(opts)
-		return &simResult{res: res, err: err}
+		weight := len(key)
+		if res != nil {
+			weight += len(res.Output)
+		}
+		return &simResult{res: res, err: err}, weight
 	}).(*simResult)
 	return sr.res, sr.err
 }
@@ -289,20 +283,21 @@ type lintOutcome struct {
 // layer's compute counters an honest measure of simulation work.
 func (f *Farm) lint(dutSrc, dutTop string) *lintOutcome {
 	key := f.sourceHash(dutSrc) + "|" + dutTop
-	return f.lints.getOrCompute(key, func() any {
+	weight := len(key) + len(dutSrc)
+	return f.lints.getOrCompute(key, func() (any, int) {
 		file, err := f.Parse(dutSrc)
 		if err != nil {
-			return &lintOutcome{err: err}
+			return &lintOutcome{err: err}, weight
 		}
 		d, err := verilog.Elaborate(file, dutTop)
 		if err != nil {
-			return &lintOutcome{err: err}
+			return &lintOutcome{err: err}, weight
 		}
 		out := &lintOutcome{diags: vlint.Lint(file, d)}
 		if errs := vlint.Errors(out.diags); len(errs) > 0 {
 			out.rej = &vlint.RejectError{Top: dutTop, Diags: errs}
 		}
-		return out
+		return out, weight
 	}).(*lintOutcome)
 }
 

@@ -3,6 +3,7 @@ package simfarm
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,7 +28,7 @@ endmodule
 `
 
 func TestRunTestbenchPasses(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	res, err := f.RunTestbench(tinyDUT(0), tinyTB, "tb", verilog.SimOptions{})
 	if err != nil {
 		t.Fatalf("RunTestbench: %v", err)
@@ -38,7 +39,7 @@ func TestRunTestbenchPasses(t *testing.T) {
 }
 
 func TestCacheHitMissAndResultMemo(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	dut := tinyDUT(1)
 	r1, err := f.RunTestbench(dut, tinyTB, "tb", verilog.SimOptions{})
 	if err != nil {
@@ -78,7 +79,7 @@ func TestCacheHitMissAndResultMemo(t *testing.T) {
 }
 
 func TestCompileErrorIsCached(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	broken := "module inv(input a output y); endmodule" // missing comma
 	_, err1 := f.RunTestbench(broken, tinyTB, "tb", verilog.SimOptions{})
 	_, err2 := f.RunTestbench(broken, tinyTB, "tb", verilog.SimOptions{})
@@ -94,13 +95,13 @@ func TestCompileErrorIsCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.add("a", 1)
-	c.add("b", 2)
+	c := newLRU(2 * entryOverhead) // room for two weightless entries
+	c.add("a", 1, 0)
+	c.add("b", 2, 0)
 	if _, ok := c.get("a"); !ok { // refresh a: b is now LRU
 		t.Fatal("a missing")
 	}
-	c.add("c", 3)
+	c.add("c", 3, 0)
 	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted")
 	}
@@ -119,7 +120,8 @@ func TestLRUEviction(t *testing.T) {
 // overlapping jobs; run under -race this is the concurrency safety net
 // for the whole cache hierarchy.
 func TestConcurrentFarm(t *testing.T) {
-	f := New(Options{ParseCap: 8, DesignCap: 4, ResultCap: 4}) // tiny: force evictions
+	f := newFarm(1 << 10) // tiny: about one design, three results
+
 	const goroutines = 16
 	const iters = 25
 	var wg sync.WaitGroup
@@ -151,6 +153,104 @@ func TestConcurrentFarm(t *testing.T) {
 	if s.Results.Evictions == 0 || s.Designs.Evictions == 0 {
 		t.Errorf("tiny caches never evicted: designs %+v results %+v", s.Designs, s.Results)
 	}
+	checkBudgets(t, f)
+}
+
+// checkBudgets asserts that every layer of f holds no more than its
+// budget, except for a lone newest entry.
+func checkBudgets(t *testing.T, f *Farm) {
+	t.Helper()
+	for name, c := range map[string]*lru{"parses": f.parses, "designs": f.designs,
+		"results": f.results, "hashes": f.hashes, "lints": f.lints} {
+		c.mu.Lock()
+		w, n := c.weight, c.ll.Len()
+		c.mu.Unlock()
+		if w > c.budget && n > 1 {
+			t.Errorf("%s retains %d entries weighing %d bytes, budget %d", name, n, w, c.budget)
+		}
+	}
+}
+
+// bigTB is a ~25 KB bench for the inverter, unique per tag: 256 checked
+// vectors, each printing a line so its result's output weighs ~20 KB.
+func bigTB(tag int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "// bench %d\nmodule tb;\n  reg a; wire y;\n  inv dut(.a(a), .y(y));\n  initial begin\n", tag)
+	for i := 0; i < 256; i++ {
+		fmt.Fprintf(&b, "    a = %d; #1; $check_eq(y, %d); $display(\"bench %d vector %03d: y=%%b, printed so results weigh ~20 KB too\", y);\n", i%2, 1-i%2, tag, i)
+	}
+	b.WriteString("    $finish;\n  end\nendmodule\n")
+	return b.String()
+}
+
+// TestByteBudgetBoundsLargeSources fills a farm well past its budget
+// with large benches: every layer stays within budget, the newest entry
+// always survives, and a job whose entries were evicted recomputes
+// byte-identical results.
+func TestByteBudgetBoundsLargeSources(t *testing.T) {
+	const budget = 64 << 10 // about three big designs
+	f := newFarm(budget)
+	dut := tinyDUT(0)
+	first, err := f.RunTestbench(dut, bigTB(0), "tb", verilog.SimOptions{})
+	if err != nil || !first.Passed() {
+		t.Fatalf("big bench: err %v, result %+v", err, first)
+	}
+	for tag := 1; tag < 12; tag++ {
+		tb := bigTB(tag)
+		if _, err := f.RunTestbench(dut, tb, "tb", verilog.SimOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		checkBudgets(t, f)
+		// The newest design and result are still cached: a rerun is a
+		// hit on both layers and computes nothing.
+		before := f.Stats()
+		if _, err := f.RunTestbench(dut, tb, "tb", verilog.SimOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		after := f.Stats()
+		if after.Designs.Computes != before.Designs.Computes || after.Results.Computes != before.Results.Computes {
+			t.Fatalf("tag %d: newest entry was evicted (designs %+v, results %+v)", tag, after.Designs, after.Results)
+		}
+	}
+	s := f.Stats()
+	if s.Designs.Evictions == 0 || s.Parses.Evictions == 0 || s.Results.Evictions == 0 {
+		t.Fatalf("budget never forced an eviction: %+v", s)
+	}
+
+	// Tag 0 is long evicted: rerunning it recomputes the same bytes.
+	again, err := f.RunTestbench(dut, bigTB(0), "tb", verilog.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first {
+		t.Fatal("tag 0 was not evicted; the test premise is broken")
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("recomputed result differs from the evicted one:\n%+v\nvs\n%+v", again, first)
+	}
+	checkBudgets(t, f)
+}
+
+// TestLRUKeepsNewestOverBudget pins the one exception to the budget: an
+// entry heavier than the whole budget still caches, alone.
+func TestLRUKeepsNewestOverBudget(t *testing.T) {
+	c := newLRU(4 * entryOverhead)
+	c.add("a", 1, 0)
+	c.add("b", 2, 0)
+	c.add("huge", 3, 10*entryOverhead)
+	if v, ok := c.get("huge"); !ok || v != 3 {
+		t.Fatalf("newest over-budget entry not kept: %v %v", v, ok)
+	}
+	if s := c.snapshot(); s.Len != 1 || s.Evictions != 2 {
+		t.Errorf("stats %+v, want the two older entries evicted", s)
+	}
+	c.add("c", 4, 0) // the heavy entry is now LRU and goes
+	if _, ok := c.get("huge"); ok {
+		t.Error("over-budget entry outlived a newer one")
+	}
+	if c.weight != entryOverhead {
+		t.Errorf("weight %d after eviction, want %d", c.weight, entryOverhead)
+	}
 }
 
 // TestRunManyMatchesSerial is the determinism contract: a parallel batch
@@ -176,7 +276,7 @@ func TestRunManyMatchesSerial(t *testing.T) {
 		want[i] = Result{Res: res, Err: err}
 	}
 
-	got := New(Options{}).RunMany(jobs, 4)
+	got := New().RunMany(jobs, 4)
 	if len(got) != len(want) {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -201,7 +301,7 @@ func TestRunManyEmptyAndWorkerClamp(t *testing.T) {
 	}
 	// More workers than jobs must not deadlock or drop results.
 	jobs := []Job{{DUT: tinyDUT(0), TB: tinyTB, Top: "tb"}}
-	got := New(Options{}).RunMany(jobs, 64)
+	got := New().RunMany(jobs, 64)
 	if len(got) != 1 || !got[0].Passed() {
 		t.Errorf("single-job batch broken: %+v", got)
 	}

@@ -14,7 +14,7 @@ import (
 // for the leader instead of recomputing (the seed farm's documented race
 // burned one duplicate compute per concurrently-missing worker).
 func TestSingleflightDedupesConcurrentMisses(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	dut := tinyDUT(4242)
 	const n = 16
 
@@ -55,7 +55,7 @@ func TestSingleflightDedupesConcurrentMisses(t *testing.T) {
 // TestSingleflightDistinctKeysDoNotBlock sanity-checks that dedup is
 // per-key: distinct designs all compute.
 func TestSingleflightDistinctKeysDoNotBlock(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	const n = 8
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -81,7 +81,7 @@ func TestSingleflightDistinctKeysDoNotBlock(t *testing.T) {
 // the entry, so followers waiting on the same key retry instead of
 // blocking forever once someone recovers around the leader.
 func TestSingleflightPanickingComputeUnblocksFollowers(t *testing.T) {
-	c := newLRU(4)
+	c := newLRU(cacheBudget)
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
@@ -90,7 +90,7 @@ func TestSingleflightPanickingComputeUnblocksFollowers(t *testing.T) {
 				t.Error("leader: expected compute panic to propagate")
 			}
 		}()
-		c.getOrCompute("k", func() any {
+		c.getOrCompute("k", func() (any, int) {
 			close(inFlight)
 			<-release
 			panic("boom")
@@ -100,7 +100,7 @@ func TestSingleflightPanickingComputeUnblocksFollowers(t *testing.T) {
 
 	got := make(chan any, 1)
 	go func() {
-		got <- c.getOrCompute("k", func() any { return "fallback" })
+		got <- c.getOrCompute("k", func() (any, int) { return "fallback", 0 })
 	}()
 	// Give the follower time to join the flight, then detonate the
 	// leader. If the follower had not joined yet it simply becomes the

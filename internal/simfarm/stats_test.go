@@ -12,7 +12,7 @@ import (
 // real assertion; the monotonicity checks pin that lock-free snapshots
 // still read sane counter values mid-flight.
 func TestStatsConcurrentWithRunMany(t *testing.T) {
-	f := New(Options{})
+	f := New()
 	var stop atomic.Bool
 	const pollers = 4
 	done := make(chan struct{}, pollers)

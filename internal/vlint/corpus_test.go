@@ -41,9 +41,9 @@ func TestCleanCorpus(t *testing.T) {
 	for _, p := range suite {
 		for _, tier := range tiers {
 			for seed := uint64(1); seed <= 3; seed++ {
-				m := llm.NewSimModel(tier, seed*1000+uint64(p.Difficulty))
+				m := llm.NewSimModel(tier, seed*1000+uint64(p.Difficulty()))
 				resp, err := m.Generate(llm.Request{Task: llm.VerilogGen{
-					ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty,
+					ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty(),
 				}})
 				if err != nil {
 					t.Fatalf("%s: sim model: %v", p.ID, err)

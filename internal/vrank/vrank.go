@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"llm4eda/internal/benchset"
 	"llm4eda/internal/core"
@@ -68,38 +67,6 @@ type Result struct {
 // stop benchFinals from matching anything.
 const benchTop = "tb"
 
-// StimulusBench rewrites a self-checking testbench into an oracle-free
-// stimulus bench: every $check_eq(actual, expected) becomes a $display of
-// both values. Because the expected value is a constant, it is identical
-// across candidates and adds no oracle information to the signature.
-func StimulusBench(tb string) string {
-	sbMu.Lock()
-	if sb, ok := sbCache[tb]; ok {
-		sbMu.Unlock()
-		return sb
-	}
-	sbMu.Unlock()
-	sb := strings.ReplaceAll(tb, "$check_eq(", `$display("SIG %b %b", `)
-	sbMu.Lock()
-	if len(sbCache) < sbCacheCap {
-		sbCache[tb] = sb
-	}
-	sbMu.Unlock()
-	return sb
-}
-
-// sbCache memoizes testbench -> stimulus-bench rewrites: every batch of
-// every ranking round re-derives the same handful of benches. The cap
-// only exists so arbitrary caller-supplied benches cannot grow the memo
-// without bound (every other cache in the repo is bounded too); the
-// benchset suite fits with room to spare.
-var (
-	sbMu    sync.Mutex
-	sbCache = map[string]string{}
-)
-
-const sbCacheCap = 128
-
 // Signature simulates a candidate on the stimulus bench and returns its
 // output fingerprint ("" when the candidate does not compile).
 func Signature(p *benchset.Problem, source string, sim verilog.SimOptions) string {
@@ -144,14 +111,18 @@ func benchFinals(res *verilog.SimResult) string {
 	})
 }
 
-// Signatures fingerprints a whole candidate batch against the shared
-// stimulus bench through the simfarm engine: the bench is compiled once,
-// duplicate candidates are simulated once, and independent candidates run
-// concurrently (workers <= 0 selects GOMAXPROCS). Output order matches
-// the input and is bit-identical to calling Signature in a serial loop.
+// Signatures fingerprints a whole candidate batch against the problem's
+// oracle-free stimulus bench (benchset.Problem.StimulusBench): every
+// $check_eq becomes a $display of both values, and because the expected
+// value is a constant it is identical across candidates and adds no
+// oracle information to the signature. The batch runs through the
+// simfarm engine: the bench is compiled once, duplicate candidates are
+// simulated once, and independent candidates run concurrently
+// (workers <= 0 selects GOMAXPROCS). Output order matches the input and
+// is bit-identical to calling Signature in a serial loop.
 // A cancelled ctx aborts the batch within one job and returns ctx.Err().
 func Signatures(ctx context.Context, p *benchset.Problem, sources []string, sim verilog.SimOptions, workers int) ([]string, error) {
-	sb := StimulusBench(p.Testbench())
+	sb := p.StimulusBench()
 	jobs := make([]simfarm.Job, len(sources))
 	for i, src := range sources {
 		jobs[i] = simfarm.Job{DUT: src, TB: sb, Top: benchTop, Opts: sim}
@@ -195,7 +166,7 @@ func Rank(ctx context.Context, p *benchset.Problem, opts Options) (*Result, erro
 		resp, err := opts.Model.Generate(llm.Request{
 			System:      llm.SystemVerilogDesigner,
 			Prompt:      llm.BuildDesignPrompt(p.Spec),
-			Task:        llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty},
+			Task:        llm.VerilogGen{ProblemID: p.ID, Spec: p.Spec, Reference: p.Reference, Difficulty: p.Difficulty()},
 			Temperature: opts.Temperature,
 		})
 		if err != nil {

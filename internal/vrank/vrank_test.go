@@ -12,7 +12,7 @@ import (
 
 func TestStimulusBenchHasNoChecks(t *testing.T) {
 	p := benchset.ByID("adder4")
-	sb := StimulusBench(p.Testbench())
+	sb := p.StimulusBench()
 	if strings.Contains(sb, "$check_eq") {
 		t.Error("stimulus bench still self-checking")
 	}

@@ -13,29 +13,22 @@ import (
 // DUT's 128-bit result into a two-word memory and checks only the low
 // half, so nothing about the high half ever reaches $display output.
 func wideProblem() *benchset.Problem {
-	return &benchset.Problem{
-		ID:        "widecap",
-		Spec:      "128-bit constant source, split across lo/hi 64-bit outputs",
-		TopModule: "wsrc",
-		TBHeader: `
+	return benchset.NewProblem("widecap", "wsrc", `
 module tb;
   wire [63:0] lo, hi;
   wsrc dut(.lo(lo), .hi(hi));
   reg [63:0] cap [0:1];
-`,
-		TBBlocks: []string{`
+`, []string{`
   initial begin
     #1;
     cap[0] = lo;
     cap[1] = hi;
     $check_eq(lo, 64'h0123456789abcdef);
-`},
-		TBFooter: `
+`}, `
     $finish;
   end
 endmodule
-`,
-	}
+`)
 }
 
 func wideCandidate(hiNibble string) string {

@@ -146,7 +146,7 @@ func (h *Harness) Debug(ctx context.Context, candidate string, opts Options) (*R
 				Prompt: llm.BuildTraceRepairPrompt(h.Problem.Spec, candidate, diag.Feedback()),
 				Task: llm.VerilogGen{
 					ProblemID: h.Problem.ID, Spec: h.Problem.Spec,
-					Reference: h.Problem.Reference, Difficulty: h.Problem.Difficulty,
+					Reference: h.Problem.Reference, Difficulty: h.Problem.Difficulty(),
 					PrevAttempt: candidate, Feedback: diag.Feedback(),
 				},
 				Temperature: opts.Temperature,

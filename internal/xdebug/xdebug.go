@@ -239,13 +239,13 @@ func NewHarness(p *benchset.Problem, cModel string, nVectors int) (*Harness, err
 	// Resolve XAlign internal observables against the reference design:
 	// the override table promises the signal exists there, and its
 	// reference width masks the compare.
-	if len(p.XAlign) > 0 {
+	if xa := p.XAlign(); len(xa) > 0 {
 		ref, err := verilog.CompileSources(benchTop, p.Reference, h.bench)
 		if err != nil {
 			return nil, fmt.Errorf("xdebug: reference does not elaborate: %w", err)
 		}
-		names := make([]string, 0, len(p.XAlign))
-		for n := range p.XAlign {
+		names := make([]string, 0, len(xa))
+		for n := range xa {
 			names = append(names, n)
 		}
 		sort.Strings(names)
@@ -253,11 +253,11 @@ func NewHarness(p *benchset.Problem, cModel string, nVectors int) (*Harness, err
 			if prog.FindFunc(n) == nil {
 				return nil, fmt.Errorf("xdebug: C model lacks XAlign function %q", n)
 			}
-			sig, ok := ref.Design.SignalByName(benchTop + "." + benchInst + "." + p.XAlign[n])
+			sig, ok := ref.Design.SignalByName(benchTop + "." + benchInst + "." + xa[n])
 			if !ok {
-				return nil, fmt.Errorf("xdebug: reference lacks XAlign signal %q", p.XAlign[n])
+				return nil, fmt.Errorf("xdebug: reference lacks XAlign signal %q", xa[n])
 			}
-			h.obs = append(h.obs, observable{name: n, signal: p.XAlign[n], width: sig.Width})
+			h.obs = append(h.obs, observable{name: n, signal: xa[n], width: sig.Width})
 		}
 	}
 

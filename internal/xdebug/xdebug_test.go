@@ -138,7 +138,7 @@ int borrow(int a, int b) { return 100 / a; }`
 // is the first to go wrong.
 func TestXAlignLocalizesInternalStage(t *testing.T) {
 	p := benchset.ByID("satadd8")
-	if p.XAlign["full"] == "" {
+	if p.XAlign()["full"] == "" {
 		t.Fatal("satadd8 lost its XAlign entry")
 	}
 	lines := strings.Split(p.Reference, "\n")
