@@ -75,8 +75,8 @@ func BenchmarkSec6CrossLevelDebug(b *testing.B) { runExperiment(b, "E11") }
 
 // BenchmarkE12LintScreening regenerates the static-analysis evaluation
 // (E12): mutant detection, lint-guided repair, screening savings. (Named
-// so the `BenchmarkLint` micro-benchmark pattern of bench-json does not
-// pull the whole experiment into the trajectory record.)
+// so that `-bench BenchmarkLint` selects the lint micro-benchmarks
+// without pulling in the whole experiment.)
 func BenchmarkE12LintScreening(b *testing.B) { runExperiment(b, "E12") }
 
 // --- compile-once/run-many engine benchmarks ---------------------------
@@ -205,8 +205,8 @@ func BenchmarkVRankBatch(b *testing.B) {
 // propagation-bound (continuous-assign fanout per input change), and
 // ProcessChurn is wake-ordering-bound (many event-waiting processes per
 // edge). Together they cover the three regions the kernel overhaul
-// rearchitected; `make bench-json` records them into the BENCH_*.json
-// trajectory.
+// rearchitected. Compare them across revisions with an interleaved A/B
+// on one host (as `make bench-ab` does for BenchmarkVRankBatch).
 
 func compileKernelBench(b *testing.B, src string) *verilog.CompiledDesign {
 	b.Helper()
@@ -360,8 +360,7 @@ func BenchmarkKernelProbeOn(b *testing.B) { runKernelProbeBench(b, true) }
 // BenchmarkCompile measures the full front end — lex, parse, elaborate,
 // and the bytecode lowering pass — on a representative DUT+testbench
 // pair, so the compile-time cost the lowering stage added to
-// verilog.Compile stays tracked in the BENCH_*.json trajectory alongside
-// the run-time wins it buys.
+// verilog.Compile stays measurable alongside the run-time wins it buys.
 func BenchmarkCompile(b *testing.B) {
 	p := benchset.ByID("alu8")
 	src := p.Reference + "\n" + p.Testbench()
@@ -408,8 +407,7 @@ endmodule`)
 // the marginal cost when the farm's parse cache is warm. EndToEnd is
 // the cache-cold path: lex, parse, elaborate, then analyze. Both run on
 // the suite's richest reference (alu8); compare against
-// BenchmarkKernelSeqClock for the screen-vs-simulate ratio recorded in
-// the BENCH_*.json trajectory.
+// BenchmarkKernelSeqClock for the screen-vs-simulate ratio.
 func BenchmarkLintAnalysis(b *testing.B) {
 	p := benchset.ByID("alu8")
 	file, err := verilog.Parse(p.Reference)

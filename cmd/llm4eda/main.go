@@ -12,8 +12,6 @@
 //	llm4eda exp [-full] [-seed N] [-timeout D] [-v] <E1..E12|all>
 //	llm4eda list                               frameworks, problems, kernels
 //	llm4eda serve [-addr A] [-workers N] [-queue N] [-drain D] ...  run the EDA job service
-//	llm4eda loadgen [-addr URL] [-jobs N] [-clients N] [-smoke] [-out F] ...
-//	        drive a live serve with mixed traffic (see -h for every knob)
 //
 // tiers: small | medium | large | frontier
 package main
@@ -70,7 +68,6 @@ func commandTable() []command {
 		command{name: "exp", summary: "regenerate paper artifacts (E1..E12|all)", run: cmdExp},
 		command{name: "list", summary: "list frameworks, benchmark problems and repair kernels", run: func([]string) error { return cmdList() }},
 		command{name: "serve", summary: "run the EDA job service (queued jobs, SSE progress, shared caches)", run: cmdServe},
-		command{name: "loadgen", summary: "drive a live serve with mixed traffic and record latency/cache-hit percentiles", run: cmdLoadgen},
 	)
 	sort.Slice(cmds, func(i, j int) bool { return cmds[i].name < cmds[j].name })
 	return cmds

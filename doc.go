@@ -69,9 +69,10 @@
 // breakdown in its status and SSE end frame, and GET /v1/metrics exports
 // the whole stack — job and phase latency quantiles, queue depth, farm
 // cache layers, resilience counters — in
-// Prometheus text format. `llm4eda loadgen` / `make load-test` drive a
-// live server with shaped traffic and record the latency history as
-// committed LOAD_<date>.json files. See DESIGN.md "Observability".
+// Prometheus text format. The service's performance record is the
+// perfbench/ module: BENCHMARK.json declares its closed-loop workloads
+// against a live server and the end-to-end metrics they gate. See
+// DESIGN.md "Observability".
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmark harness in

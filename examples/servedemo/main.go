@@ -5,8 +5,9 @@
 // report cache, runs a second job through the cross-level debugger while
 // counting its per-round diagnosis frames off the SSE stream, runs a
 // third job through the lint engine while counting its per-round screen
-// verdicts, and prints the server's queue and cache counters from
-// /v1/metrics. The
+// verdicts, prints the server's queue and cache counters from
+// /v1/metrics, and fails unless that final scrape shows a report-cache
+// hit, a recorded job-latency p99 and no failed job. The
 // `make serve-smoke` CI target runs exactly this against a freshly
 // started `llm4eda serve`.
 //
@@ -18,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -176,6 +178,28 @@ func run(addr, framework, problem string) error {
 		m["llm4eda_workers"], m["llm4eda_queue_depth"], m[`llm4eda_jobs_finished_total{state="done"}`],
 		m["llm4eda_report_cache_hits_total"], m["llm4eda_report_cache_misses_total"],
 		m[`llm4eda_farm_hits_total{layer="result"}`])
+	return checkMetrics(m)
+}
+
+// checkMetrics asserts the run's service-level invariants on the final
+// /v1/metrics scrape, naming every one that does not hold.
+func checkMetrics(m map[string]float64) error {
+	var errs []error
+	if hits := m["llm4eda_report_cache_hits_total"]; hits < 1 {
+		errs = append(errs, fmt.Errorf("llm4eda_report_cache_hits_total = %g, want >= 1", hits))
+	}
+	if n := m["llm4eda_job_duration_seconds_count"]; n <= 0 {
+		errs = append(errs, fmt.Errorf("llm4eda_job_duration_seconds_count = %g, want > 0", n))
+	}
+	if _, ok := m[`llm4eda_job_duration_seconds{quantile="0.99"}`]; !ok {
+		errs = append(errs, fmt.Errorf("llm4eda_job_duration_seconds has no p99 sample"))
+	}
+	if failed, ok := m[`llm4eda_jobs_finished_total{state="failed"}`]; !ok || failed != 0 {
+		errs = append(errs, fmt.Errorf(`llm4eda_jobs_finished_total{state="failed"} = %g (present=%v), want 0`, failed, ok))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("metrics check: %w", err)
+	}
 	return nil
 }
 

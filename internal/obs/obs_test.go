@@ -152,9 +152,9 @@ func TestWriteFamilyEscaping(t *testing.T) {
 	}
 }
 
-// TestParseTextRoundTrip writes registry families and a harvested family
-// and reads them back through ParseText with exact values.
-func TestParseTextRoundTrip(t *testing.T) {
+// roundTripExposition renders registry families and a harvested family
+// into one exposition, returning it with the histogram it quantiles.
+func roundTripExposition() (string, *Histogram) {
 	r := NewRegistry()
 	r.Counter("jobs_total", "Jobs.", "state", "done").Add(3)
 	r.Counter("jobs_total", "Jobs.", "state", "failed").Inc()
@@ -168,9 +168,16 @@ func TestParseTextRoundTrip(t *testing.T) {
 	WriteFamily(&b, "hit_ratio", "Harvested.", KindGauge,
 		Sample{Labels: []string{"layer", "result"}, Value: 0.25},
 		Sample{Labels: []string{"layer", `a "b"`}, Value: 12})
-	got, err := ParseText(strings.NewReader(b.String()))
+	return b.String(), h
+}
+
+// TestParseTextRoundTrip writes registry families and a harvested family
+// and reads them back through ParseText with exact values.
+func TestParseTextRoundTrip(t *testing.T) {
+	text, h := roundTripExposition()
+	got, err := ParseText(strings.NewReader(text))
 	if err != nil {
-		t.Fatalf("ParseText: %v\n%s", err, b.String())
+		t.Fatalf("ParseText: %v\n%s", err, text)
 	}
 	want := map[string]float64{
 		`jobs_total{state="done"}`:         3,
@@ -194,16 +201,56 @@ func TestParseTextRoundTrip(t *testing.T) {
 	}
 }
 
+var malformedExpositions = map[string]string{
+	"no value":    "# TYPE x counter\nx\n",
+	"non-numeric": "x{a=\"b\"} many\n",
+	"duplicate":   "x 1\nx 2\n",
+}
+
 func TestParseTextMalformed(t *testing.T) {
-	for name, text := range map[string]string{
-		"no value":    "# TYPE x counter\nx\n",
-		"non-numeric": "x{a=\"b\"} many\n",
-		"duplicate":   "x 1\nx 2\n",
-	} {
+	for name, text := range malformedExpositions {
 		if got, err := ParseText(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: ParseText = %v, want an error", name, got)
 		}
 	}
+}
+
+// FuzzParseText feeds ParseText arbitrary bytes, which must never panic,
+// and round-trips a registry counter whose label value and count come
+// from the fuzzer: ParseText(Expose(...)) must return exactly one sample,
+// keyed with the label escaped as renderLabels writes it, with the
+// count as its value.
+func FuzzParseText(f *testing.F) {
+	text, _ := roundTripExposition()
+	seeds := []string{text}
+	for _, m := range malformedExpositions {
+		seeds = append(seeds, m)
+	}
+	sort.Strings(seeds[1:])
+	labels := []string{"done", `a "b"`, `a"b\c` + "\n", ""}
+	for i, seed := range seeds {
+		f.Add([]byte(seed), labels[i%len(labels)], uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, text []byte, label string, count uint64) {
+		_, _ = ParseText(strings.NewReader(string(text)))
+
+		// ParseText bounds a line at 1 MiB; stay well inside it.
+		if len(label) > 64<<10 {
+			t.Skip()
+		}
+		r := NewRegistry()
+		r.Counter("fuzz_total", "Fuzzed.", "l", label).Add(count)
+		var b strings.Builder
+		r.Expose(&b)
+		got, err := ParseText(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("ParseText(Expose): %v\n%q", err, b.String())
+		}
+		key := "fuzz_total" + renderLabels([]string{"l", label})
+		if v, ok := got[key]; len(got) != 1 || !ok || v != float64(count) {
+			t.Fatalf("ParseText(Expose) = %v, want {%s: %v}", got, key, float64(count))
+		}
+	})
 }
 
 func TestNilRegistryAndMetrics(t *testing.T) {

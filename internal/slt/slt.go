@@ -272,15 +272,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			Detail: fmt.Sprintf("best so far %.3f W", res.Best.Score),
 		})
 
-		// Pool update with diversity pressure.
-		minDist := 1.0
-		for _, sn := range res.Pool {
-			if d := rag.NormalizedLevenshtein(resp.Text, sn.Source); d < minDist {
-				minDist = d
-			}
-		}
+		// Pool update with diversity pressure. The near-duplicate test
+		// costs an edit distance per pool member, so it runs only when
+		// its answer can change the pool or the temperature.
 		accept := score > 0
-		if cfg.DiversityPressure && minDist < 0.05 && score <= poolMin(res.Pool) {
+		dedupe := accept && cfg.DiversityPressure && score <= poolMin(res.Pool)
+		nearDup := (dedupe || cfg.AdaptiveTemp) && nearDuplicate(resp.Text, res.Pool)
+		if dedupe && nearDup {
 			accept = false // near-duplicate that does not improve anything
 		}
 		if accept {
@@ -300,7 +298,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			default:
 				temp += 0.02
 			}
-			if minDist < 0.05 {
+			if nearDup {
 				temp += 0.12 // pool converging: force diversity
 			}
 			if temp < tempMin {
@@ -324,6 +322,17 @@ func poolMean(pool []Snippet) float64 {
 		s += sn.Score
 	}
 	return s / float64(len(pool))
+}
+
+// nearDuplicate reports whether some pool member lies within normalized
+// edit distance 0.05 of src, stopping at the first one that does.
+func nearDuplicate(src string, pool []Snippet) bool {
+	for _, sn := range pool {
+		if rag.NormalizedLevenshtein(src, sn.Source) < 0.05 {
+			return true
+		}
+	}
+	return false
 }
 
 func poolMin(pool []Snippet) float64 {
